@@ -10,8 +10,17 @@ sites receives the *sum* of the gradient contributions from every site.
 
 All arithmetic is float64.  Primitives are pure functions of their inputs:
 the same inputs always produce bitwise-identical outputs and gradients.
-Shapes are strict; the only implicit broadcast in the whole engine is the
-row-wise bias addition of ``add_rowvec``.
+
+Tensors are batch-first: every axis before the last two (or before the
+last one, for row-vector ops) is a *leading* axis, and the row-wise ops
+(``matmul``, ``add_rowvec``, ``softmax_rows``, ``layer_norm_rows``,
+``sum_rows``, ``concat_rows``, ``slice_rows``) act on each leading-axis
+slice independently.  Shapes are otherwise strict.  The only implicit
+broadcast is of a parameter across leading axes: a 2-d ``matmul``
+right operand, the vector of ``add_rowvec`` and the ``layer_norm_rows``
+gain and bias apply to every slice, and their gradients are summed over
+the leading axes.  ``broadcast_batch`` makes that broadcast explicit
+for any tensor.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ __all__ = [
     "add",
     "add_rowvec",
     "add_scalar",
+    "broadcast_batch",
     "mul",
     "scale",
     "neg",
@@ -47,9 +57,7 @@ __all__ = [
     "power",
     "clamp_min",
     "concat_rows",
-    "concat_cols",
     "slice_rows",
-    "slice_cols",
     "transpose",
     "reshape",
     "sum_all",
@@ -167,19 +175,24 @@ def parameter(data) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+            t.grad = np.empty_like(t.data)
+            t.grad[...] = g
+        else:
+            t.grad += g
 
 
 def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    needs = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=needs, _parents=parents,
-                  _backward=backward_fn if needs else None)
+    # An output no gradient can reach keeps no parents, so a graph of
+    # constants frees each intermediate as soon as it is consumed.
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
+    return Tensor(data)
 
 
-def _require_2d(x: Tensor, op: str) -> None:
-    if x.data.ndim != 2:
-        raise ShapeError(f"{op} needs a 2-d tensor, got shape {x.shape}")
+def _sum_leading(g: np.ndarray) -> np.ndarray:
+    """Sum an (..., n) gradient over every leading axis -> (n,)."""
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +200,29 @@ def _require_2d(x: Tensor, op: str) -> None:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Strict 2-d matrix product (m,k) @ (k,n) -> (m,n).
+    """Matrix product over the last two axes, slice by slice:
+    (..., m, k) @ (k, n) or (..., m, k) @ (..., k, n) -> (..., m, n).
 
-    Backward: dA += G @ B^T, dB += A^T @ G.
+    A 2-d right operand (a weight) multiplies every leading-axis slice of
+    ``a``; otherwise the leading axes of both operands must be equal.
+    Backward: dA += G @ B^T, dB += A^T @ G, where a 2-d B's gradient is
+    summed over the leading axes.
     """
-    _require_2d(a, "matmul")
-    _require_2d(b, "matmul")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
+    ad_, bd = a.data, b.data
+    if (ad_.ndim < 2 or bd.ndim < 2 or ad_.shape[-1] != bd.shape[-2]
+            or (bd.ndim > 2 and ad_.shape[:-2] != bd.shape[:-2])):
+        raise ShapeError(f"matmul shapes do not match: {a.shape} @ {b.shape}")
+    out_data = ad_ @ bd
 
     def _bw(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            if b.data.ndim == 2:
+                k, n = b.data.shape
+                _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            else:
+                _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _from_op(out_data, (a, b), _bw)
 
@@ -217,20 +240,36 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Add a length-n vector to every row of an (r, n) matrix.
+    """Add a length-n vector along the last axis of an (..., n) tensor
+    (bias addition).
 
-    The single sanctioned broadcast in the engine (bias addition).
-    Backward: dX += G, dv += column-sums of G.
+    Backward: dX += G, dv += G summed over every leading axis.
     """
-    _require_2d(x, "add_rowvec")
-    if v.data.ndim != 1 or v.shape[0] != x.shape[1]:
-        raise ShapeError(f"add_rowvec needs ({x.shape[1]},) vector, got {v.shape}")
+    if x.data.ndim == 0 or v.data.ndim != 1 or v.data.shape[0] != x.data.shape[-1]:
+        raise ShapeError(f"add_rowvec needs a vector as long as the last axis of "
+                         f"{x.shape}, got {v.shape}")
 
     def _bw(g: np.ndarray) -> None:
         _accumulate(x, g)
-        _accumulate(v, g.sum(axis=0))
+        if v.requires_grad:
+            _accumulate(v, _sum_leading(g))
 
     return _from_op(x.data + v.data, (x, v), _bw)
+
+
+def broadcast_batch(x: Tensor, n: int) -> Tensor:
+    """n copies of ``x`` stacked along a new leading axis -> (n, *x.shape).
+
+    Lifts a sample-independent tensor into a batch.  Backward sums the n
+    slices' gradients.
+    """
+    if n < 1:
+        raise ShapeError(f"broadcast_batch needs n >= 1, got {n}")
+
+    def _bw(g: np.ndarray) -> None:
+        _accumulate(x, g.sum(axis=0))
+
+    return _from_op(np.broadcast_to(x.data, (n,) + x.data.shape).copy(), (x,), _bw)
 
 
 def add_scalar(x: Tensor, c: float) -> Tensor:
@@ -300,50 +339,49 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction for stability.
+    """Softmax over the last axis with max subtraction for stability.
 
     Backward: dX = S * (G - rowsum(G * S)), the standard Jacobian action.
     """
-    _require_2d(x, "softmax_rows")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def _bw(g: np.ndarray) -> None:
-        inner = (g * s).sum(axis=1, keepdims=True)
+        inner = (g * s).sum(axis=-1, keepdims=True)
         _accumulate(x, s * (g - inner))
 
     return _from_op(s, (x,), _bw)
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row layer normalization with learnable gain and bias.
+    """Layer normalization over the last axis with learnable gain and bias.
 
     Uses the population variance (divide by n).  Backward follows the
     closed form
 
         dX = (istd / n) * (n*dY' - sum(dY') - xhat * sum(dY' * xhat))
 
-    with dY' = G * gain, all reductions per row.
+    with dY' = G * gain, all reductions over the last axis; the gain and
+    bias gradients are summed over the leading axes.
     """
-    _require_2d(x, "layer_norm_rows")
-    n = x.shape[1]
-    if gain.shape != (n,) or bias.shape != (n,):
-        raise ShapeError(
-            f"layer_norm_rows gain/bias must be ({n},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    if x.data.ndim == 0 or gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
+        raise ShapeError(f"layer_norm_rows gain/bias must match the last axis of {x.shape}, "
+                         f"got {gain.shape} and {bias.shape}")
+    n = x.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     istd = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * istd
     out_data = xhat * gain.data + bias.data
 
     def _bw(g: np.ndarray) -> None:
-        _accumulate(gain, (g * xhat).sum(axis=0))
-        _accumulate(bias, g.sum(axis=0))
+        _accumulate(gain, _sum_leading(g * xhat))
+        _accumulate(bias, _sum_leading(g))
         dxhat = g * gain.data
         term = (n * dxhat
-                - dxhat.sum(axis=1, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
+                - dxhat.sum(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
         _accumulate(x, term * (istd / n))
 
     return _from_op(out_data, (x, gain, bias), _bw)
@@ -390,87 +428,54 @@ def clamp_min(x: Tensor, lo: float) -> Tensor:
 
 
 def concat_rows(*parts: Tensor) -> Tensor:
-    """Stack 2-d tensors with equal column counts on top of each other."""
+    """Concatenate tensors along axis -2 (rows); every other axis must match."""
     if len(parts) < 2:
         raise ValueError("concat_rows needs at least two tensors")
-    ncols = parts[0].shape[1] if parts[0].data.ndim == 2 else None
+    first = parts[0].shape
     for p in parts:
-        _require_2d(p, "concat_rows")
-        if p.shape[1] != ncols:
-            raise ShapeError(
-                f"concat_rows column counts differ: {parts[0].shape} vs {p.shape}")
-    sizes = [p.shape[0] for p in parts]
+        if p.data.ndim < 2 or p.shape[:-2] != first[:-2] or p.shape[-1] != first[-1]:
+            raise ShapeError(f"concat_rows shapes differ off axis -2: {first} vs {p.shape}")
+    sizes = [p.shape[-2] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
     def _bw(g: np.ndarray) -> None:
         for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[a:b])
+            _accumulate(p, g[..., a:b, :])
 
-    return _from_op(np.concatenate([p.data for p in parts], axis=0), tuple(parts), _bw)
-
-
-def concat_cols(*parts: Tensor) -> Tensor:
-    """Stack 2-d tensors with equal row counts side by side."""
-    if len(parts) < 2:
-        raise ValueError("concat_cols needs at least two tensors")
-    nrows = parts[0].shape[0] if parts[0].data.ndim == 2 else None
-    for p in parts:
-        _require_2d(p, "concat_cols")
-        if p.shape[0] != nrows:
-            raise ShapeError(
-                f"concat_cols row counts differ: {parts[0].shape} vs {p.shape}")
-    sizes = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def _bw(g: np.ndarray) -> None:
-        for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[:, a:b])
-
-    return _from_op(np.concatenate([p.data for p in parts], axis=1), tuple(parts), _bw)
+    return _from_op(np.concatenate([p.data for p in parts], axis=-2), tuple(parts), _bw)
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows start..stop (half-open) of a 2-d tensor.
+    """Rows start..stop (half-open) along axis -2.
 
     Backward scatters the gradient into an otherwise-zero block.
     """
-    _require_2d(x, "slice_rows")
-    if not (0 <= start < stop <= x.shape[0]):
+    if x.data.ndim < 2 or not (0 <= start < stop <= x.shape[-2]):
         raise ShapeError(f"slice_rows [{start}:{stop}] out of range for {x.shape}")
 
     def _bw(g: np.ndarray) -> None:
         full = np.zeros_like(x.data)
-        full[start:stop] = g
+        full[..., start:stop, :] = g
         _accumulate(x, full)
 
-    return _from_op(x.data[start:stop].copy(), (x,), _bw)
+    return _from_op(x.data[..., start:stop, :].copy(), (x,), _bw)
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Columns start..stop (half-open) of a 2-d tensor."""
-    _require_2d(x, "slice_cols")
-    if not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] out of range for {x.shape}")
-
-    def _bw(g: np.ndarray) -> None:
-        full = np.zeros_like(x.data)
-        full[:, start:stop] = g
-        _accumulate(x, full)
-
-    return _from_op(x.data[:, start:stop].copy(), (x,), _bw)
-
-
-def transpose(x: Tensor) -> Tensor:
-    _require_2d(x, "transpose")
+def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+    """Permute the axes as ``np.transpose`` does; by default reverse them,
+    which for a matrix is the plain transpose."""
+    if axes is not None and sorted(axes) != list(range(x.data.ndim)):
+        raise ShapeError(f"transpose axes {axes} do not permute the axes of {x.shape}")
+    inverse = None if axes is None else tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def _bw(g: np.ndarray) -> None:
-        _accumulate(x, g.T)
+        _accumulate(x, np.transpose(g, inverse))
 
-    return _from_op(x.data.T.copy(), (x,), _bw)
+    return _from_op(np.transpose(x.data, axes).copy(), (x,), _bw)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != x.size:
+    if math.prod(shape) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
 
     def _bw(g: np.ndarray) -> None:
@@ -488,13 +493,14 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def sum_rows(x: Tensor) -> Tensor:
-    """Row sums of an (r, n) matrix -> (r,) vector."""
-    _require_2d(x, "sum_rows")
+    """Sums over the last axis: (..., n) -> (...)."""
+    if x.data.ndim == 0:
+        raise ShapeError("sum_rows needs a tensor of rank >= 1, got a scalar")
 
     def _bw(g: np.ndarray) -> None:
-        _accumulate(x, np.repeat(g[:, None], x.shape[1], axis=1))
+        _accumulate(x, np.broadcast_to(g[..., None], x.data.shape))
 
-    return _from_op(x.data.sum(axis=1), (x,), _bw)
+    return _from_op(x.data.sum(axis=-1), (x,), _bw)
 
 
 def mean_all(x: Tensor) -> Tensor:

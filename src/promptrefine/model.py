@@ -19,6 +19,12 @@ projection — matching the bare update equations the design came from.
 
 No positional encodings anywhere: the forward pass is equivariant under
 permutations of the class axis, which the tests rely on.
+
+The stages are batch-first: a batch is one graph over stacked arrays,
+F of shape (B, v, d) and P broadcast to (B, c, d), and attention heads
+are one more leading axis.  Every leading-axis slice is computed by the
+same per-slice products as a batch of one, so a sample's scores do not
+depend on the batch it is scored in.
 """
 
 from __future__ import annotations
@@ -260,7 +266,7 @@ def init_model(dims: ModelDims, embedding: SemanticEmbedding, seed: int,
 
 
 def project_features(f_loc: Tensor, projection: Projection) -> Tensor:
-    """Map raw visual tokens (v, d0) into the joint space -> (v, d)."""
+    """Map raw visual tokens (..., v, d0) into the joint space -> (..., v, d)."""
     return ad.add_rowvec(ad.matmul(f_loc, projection.w), projection.b)
 
 
@@ -274,43 +280,47 @@ def init_prompts(embedding: SemanticEmbedding, pi: PromptInitParams) -> Tensor:
     return ad.add_rowvec(ad.matmul(hidden, pi.w2), pi.b2)
 
 
+def _swap_axes(x: Tensor, i: int, j: int) -> Tensor:
+    axes = list(range(x.data.ndim))
+    axes[i], axes[j] = axes[j], axes[i]
+    return ad.transpose(x, tuple(axes))
+
+
 def _attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Scaled dot-product attention, heads as column blocks, per-head
-    scaling 1/sqrt(d/heads)."""
-    d = q.shape[1]
+    """Scaled dot-product attention over (..., n, d) tensors with per-head
+    scaling 1/sqrt(d/heads).  Head h owns columns h*dh..(h+1)*dh; the heads
+    become a leading axis, (..., heads, n, dh), and merge back after."""
+    *lead, n, d = q.shape
     dh = d // heads
-    outs = []
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = ad.slice_cols(q, lo, hi) if heads > 1 else q
-        kh = ad.slice_cols(k, lo, hi) if heads > 1 else k
-        vh = ad.slice_cols(v, lo, hi) if heads > 1 else v
-        weights = ad.softmax_rows(ad.scale(ad.matmul(qh, ad.transpose(kh)),
-                                           1.0 / math.sqrt(dh)))
-        outs.append(ad.matmul(weights, vh))
-    return ad.concat_cols(*outs) if heads > 1 else outs[0]
+    qh, kh, vh = (_swap_axes(ad.reshape(t, (*lead, n, heads, dh)), -3, -2)
+                  for t in (q, k, v))
+    weights = ad.softmax_rows(ad.scale(ad.matmul(qh, _swap_axes(kh, -1, -2)),
+                                       1.0 / math.sqrt(dh)))
+    return ad.reshape(_swap_axes(ad.matmul(weights, vh), -3, -2), (*lead, n, d))
 
 
 def vsi_forward(F: Tensor, P: Tensor, inter: InteractionParams,
                 literal_equations: bool = False) -> Tensor:
     """Visual-semantic interaction: refine the prompts against the tokens.
 
-    Standard path: one post-norm encoder layer over Z = [F; P], returning
-    the prompt rows.  Literal path: single-head attention with prompt
-    queries over all of Z (scale 1/sqrt(d)), then the feed-forward —
-    nothing else.
+    ``F`` is (..., v, d) and ``P`` is (..., c, d) with the same leading
+    axes; the result has the shape of ``P``.  Standard path: one post-norm
+    encoder layer over Z = [F; P], returning the prompt rows.  Literal
+    path: single-head attention with prompt queries over all of Z (scale
+    1/sqrt(d)), then the feed-forward — nothing else.
     """
-    if F.shape[1] != P.shape[1]:
-        raise ad.ShapeError(f"tokens {F.shape} and prompts {P.shape} disagree on width")
-    n_vis, n_cls = F.shape[0], P.shape[0]
+    if F.shape[:-2] != P.shape[:-2] or F.shape[-1] != P.shape[-1]:
+        raise ad.ShapeError(f"tokens {F.shape} and prompts {P.shape} disagree on "
+                            "leading axes or width")
+    n_vis, n_cls = F.shape[-2], P.shape[-2]
     z = ad.concat_rows(F, P)
 
     if literal_equations:
         q = ad.matmul(P, inter.w_q)
         k = ad.matmul(z, inter.w_k)
         v = ad.matmul(z, inter.w_v)
-        d = q.shape[1]
-        weights = ad.softmax_rows(ad.scale(ad.matmul(q, ad.transpose(k)),
+        d = q.shape[-1]
+        weights = ad.softmax_rows(ad.scale(ad.matmul(q, _swap_axes(k, -1, -2)),
                                            1.0 / math.sqrt(d)))
         pooled = ad.matmul(weights, v)
         hidden = ad.gelu(ad.add_rowvec(ad.matmul(pooled, inter.w_ffn_in), inter.b_ffn_in))
@@ -329,8 +339,9 @@ def vsi_forward(F: Tensor, P: Tensor, inter: InteractionParams,
 
 def classify(p_refined: Tensor, p_initial: Tensor) -> Tensor:
     """Per-class probability: sigmoid of the refined/initial prompt dot
-    product, class by class.  No cross-class score matrix exists — class
-    j's probability involves only row j of each prompt set."""
+    product, class by class, (..., c, d) -> (..., c).  No cross-class
+    score matrix exists — class j's probability involves only row j of
+    each prompt set."""
     if p_refined.shape != p_initial.shape:
         raise ad.ShapeError(
             f"prompt sets must match, got {p_refined.shape} vs {p_initial.shape}")
@@ -347,49 +358,60 @@ def _check_features(features: np.ndarray, dims: ModelDims) -> None:
             f"features must be ({dims.v}, {dims.d0}), got {features.shape}")
 
 
-def forward_with_prompts(sample, params: ModelParams,
-                         literal_equations: bool | None = None) -> tuple[Tensor, PromptSet]:
-    """Full forward pass returning scores plus both prompt sets.
+def _stack_features(samples, dims: ModelDims) -> np.ndarray:
+    features = [_as_features(sample) for sample in samples]
+    for f in features:
+        _check_features(f, dims)
+    return np.stack(features)
 
-    The same initial-prompt tensor instance feeds the interaction encoder
-    and the classifier, so its gradient carries both routes.
+
+def _forward_stacked(features: np.ndarray, params: ModelParams,
+                     literal_equations: bool | None) -> tuple[Tensor, PromptSet]:
+    """One graph for a (B, v, d0) feature stack: scores (B, c), the shared
+    initial prompts (c, d) and the refined prompts (B, c, d).
+
+    The same broadcast of the initial prompts feeds the interaction
+    encoder and the classifier, so the prompts' gradient carries both
+    routes, summed over the batch.
     """
     literal = params.literal_equations if literal_equations is None else literal_equations
-    features = _as_features(sample)
-    _check_features(features, params.dims)
     F = project_features(ad.constant(features), params.projection)
     P = init_prompts(params.embedding, params.prompt_init)
-    refined = vsi_forward(F, P, params.interaction, literal_equations=literal)
-    scores = classify(refined, P)
-    return scores, PromptSet(initial=P, refined=refined)
+    P_batch = ad.broadcast_batch(P, features.shape[0])
+    refined = vsi_forward(F, P_batch, params.interaction, literal_equations=literal)
+    return classify(refined, P_batch), PromptSet(initial=P, refined=refined)
+
+
+def forward_with_prompts(sample, params: ModelParams,
+                         literal_equations: bool | None = None) -> tuple[Tensor, PromptSet]:
+    """Full forward pass of one sample returning scores (c,) plus both
+    prompt sets, (c, d) each."""
+    scores, prompts = _forward_stacked(_stack_features([sample], params.dims), params,
+                                       literal_equations)
+    c, d = prompts.initial.shape
+    return ad.reshape(scores, (c,)), PromptSet(
+        initial=prompts.initial, refined=ad.reshape(prompts.refined, (c, d)))
 
 
 def forward(sample, params: ModelParams,
             literal_equations: bool | None = None) -> Tensor:
-    """Per-class probabilities (c,) for one sample."""
-    scores, _ = forward_with_prompts(sample, params, literal_equations)
-    return scores
+    """Per-class probabilities (c,) for one sample: ``forward_batch`` of a
+    batch of one."""
+    scores = forward_batch([sample], params, literal_equations)
+    return ad.reshape(scores, (params.dims.c,))
 
 
 def forward_batch(samples, params: ModelParams,
                   literal_equations: bool | None = None) -> Tensor:
-    """Scores for a batch, stacked to (len(samples), c).
+    """Scores (len(samples), c) for a batch, built as one graph.
 
-    The prompts are sample-independent, so one prompt graph is shared by
-    every sample in the batch; gradient contributions from all samples
-    accumulate into it, which equals running ``forward`` per sample.
+    The samples are stacked and every stage runs on the stack, so the
+    number of graph nodes does not grow with the batch.  Each row is
+    bitwise equal to ``forward`` of that sample.
     """
-    literal = params.literal_equations if literal_equations is None else literal_equations
-    P = init_prompts(params.embedding, params.prompt_init)
-    rows = []
-    for sample in samples:
-        features = _as_features(sample)
-        _check_features(features, params.dims)
-        F = project_features(ad.constant(features), params.projection)
-        refined = vsi_forward(F, P, params.interaction, literal_equations=literal)
-        scores = classify(refined, P)
-        rows.append(ad.reshape(scores, (1, params.dims.c)))
-    return rows[0] if len(rows) == 1 else ad.concat_rows(*rows)
+    scores, _ = _forward_stacked(_stack_features(samples, params.dims), params,
+                                 literal_equations)
+    return scores
 
 
 def dual_path_grads(sample, labels: np.ndarray, params: ModelParams,

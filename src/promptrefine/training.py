@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -280,7 +281,9 @@ def load_checkpoint(path) -> Checkpoint:
     for _ in range(u32()):
         name = take(u32()).decode("utf-8")
         shape = tuple(u32() for _ in range(u32()))
-        count = int(np.prod(shape)) if shape else 1
+        # Python ints: a product of u32 dims never wraps, so an oversize
+        # shape fails take()'s bound check against the bytes left.
+        count = math.prod(shape)
         tensors[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
 
     meta_len = u32()
@@ -342,13 +345,11 @@ def _restore_adam(adam: Adam, ckpt: Checkpoint) -> None:
 
 def score_dataset(params: ModelParams, dataset: LongTailDataset,
                   chunk: int = EVAL_CHUNK) -> np.ndarray:
-    """Probability matrix (n, c).  Chunking is a memory bound only; the
-    prompt graph is sample-independent, so any chunk size gives bitwise
-    identical rows."""
-    rows = []
-    for start in range(0, len(dataset), chunk):
-        scores = forward_batch(dataset.samples[start:start + chunk], params)
-        rows.append(scores.data.reshape(-1, params.dims.c))
+    """Probability matrix (n, c).  Chunking is a memory bound only: each
+    chunk is one graph, dropped before the next is built, and any chunk
+    size gives bitwise identical rows."""
+    rows = [forward_batch(dataset.samples[start:start + chunk], params).data
+            for start in range(0, len(dataset), chunk)]
     return np.concatenate(rows, axis=0)
 
 

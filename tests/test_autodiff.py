@@ -28,6 +28,13 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def swap_last(t):
+    """Transpose of the last two axes, whatever the rank."""
+    axes = list(range(t.data.ndim))
+    axes[-2], axes[-1] = axes[-1], axes[-2]
+    return ad.transpose(t, tuple(axes))
+
+
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function of one array."""
     g = np.zeros_like(x)
@@ -110,9 +117,15 @@ class TestForwardValues:
         z = ad.concat_rows(ad.constant(a), ad.constant(b))
         np.testing.assert_array_equal(ad.slice_rows(z, 0, 3).data, a)
         np.testing.assert_array_equal(ad.slice_rows(z, 3, 5).data, b)
-        c = rng.standard_normal((3, 2))
-        zc = ad.concat_cols(ad.constant(a), ad.constant(c))
-        np.testing.assert_array_equal(ad.slice_cols(zc, 4, 6).data, c)
+        # leading axes ride along: rows are axis -2 of every slice
+        a3 = rng.standard_normal((2, 3, 4))
+        b3 = rng.standard_normal((2, 2, 4))
+        z3 = ad.concat_rows(ad.constant(a3), ad.constant(b3))
+        assert z3.shape == (2, 5, 4)
+        np.testing.assert_array_equal(ad.slice_rows(z3, 0, 3).data, a3)
+        np.testing.assert_array_equal(ad.slice_rows(z3, 3, 5).data, b3)
+        with pytest.raises(ad.ShapeError):
+            ad.concat_rows(ad.constant(a3), ad.constant(b))
 
     def test_power_zero_exponent_is_one_with_zero_grad(self):
         x = ad.parameter(np.array([0.0, 0.5, 2.0]))
@@ -142,18 +155,23 @@ class TestBackward:
         assert result.max_rel_error < 1e-9
 
     def test_matmul_gradients_match_finite_differences(self):
+        """2-d, a 2-d weight applied to every slice of a 3-d input (its
+        gradient sums over the slices), and slice-by-slice 3-d products."""
         rng = np.random.default_rng(0)
-        a_val = rng.standard_normal((3, 4))
-        b_val = rng.standard_normal((4, 2))
-        a = ad.parameter(a_val.copy())
-        b = ad.parameter(b_val.copy())
-        loss = ad.sum_all(ad.matmul(a, b))
-        ad.backward(loss)
+        for a_shape, b_shape in [((3, 4), (4, 2)), ((2, 3, 4), (4, 2)),
+                                 ((2, 3, 4), (2, 4, 5))]:
+            a_val = rng.standard_normal(a_shape)
+            b_val = rng.standard_normal(b_shape)
+            w = rng.standard_normal(np.matmul(a_val, b_val).shape)
+            a = ad.parameter(a_val.copy())
+            b = ad.parameter(b_val.copy())
+            loss = ad.sum_all(ad.mul(ad.matmul(a, b), ad.constant(w)))
+            ad.backward(loss)
 
-        na = numeric_grad(lambda v: (v @ b_val).sum(), a_val)
-        nb = numeric_grad(lambda v: (a_val @ v).sum(), b_val)
-        np.testing.assert_allclose(a.grad, na, rtol=1e-6, atol=1e-9)
-        np.testing.assert_allclose(b.grad, nb, rtol=1e-6, atol=1e-9)
+            na = numeric_grad(lambda v: ((v @ b_val) * w).sum(), a_val)
+            nb = numeric_grad(lambda v: ((a_val @ v) * w).sum(), b_val)
+            np.testing.assert_allclose(a.grad, na, rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(b.grad, nb, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("op", [
         lambda t: ad.gelu(t),
@@ -162,11 +180,16 @@ class TestBackward:
         lambda t: ad.relu(t),
         lambda t: ad.power(ad.sigmoid(t), 4.0),
         lambda t: ad.log(ad.add_scalar(ad.sigmoid(t), 0.5)),
+        lambda t: ad.matmul(t, swap_last(ad.gelu(t))),
+        lambda t: ad.sum_rows(ad.mul(t, ad.gelu(t))),
+        lambda t: ad.broadcast_batch(ad.gelu(t), 3),
+        lambda t: ad.slice_rows(ad.concat_rows(t, ad.gelu(t)), 1, 5),
+        lambda t: ad.transpose(ad.gelu(t), tuple(range(1, t.data.ndim)) + (0,)),
     ])
     def test_elementwise_chains_match_finite_differences(self, op):
         rng = np.random.default_rng(9)
         x_val = rng.standard_normal((4, 6))
-        weights = rng.standard_normal((4, 6))
+        weights = rng.standard_normal(op(ad.constant(x_val)).shape)
 
         x = ad.parameter(x_val)
 
@@ -175,6 +198,14 @@ class TestBackward:
 
         result = ad.grad_check(f, {"x": x}, eps=1e-6)
         assert result.max_rel_error < 1e-6
+
+        # the same chain on a 3-d stack of matrices, checked like matmul above
+        x3_val = rng.standard_normal((2, 4, 6))
+        w3 = rng.standard_normal(op(ad.constant(x3_val)).shape)
+        x3 = ad.parameter(x3_val.copy())
+        ad.backward(ad.sum_all(ad.mul(op(x3), ad.constant(w3))))
+        num = numeric_grad(lambda v: (op(ad.constant(v)).data * w3).sum(), x3_val)
+        np.testing.assert_allclose(x3.grad, num, rtol=1e-6, atol=1e-9)
 
     def test_layer_norm_gradients_match_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -188,6 +219,24 @@ class TestBackward:
 
         result = ad.grad_check(f, {"x": x, "gain": gain, "bias": bias}, eps=1e-6)
         assert result.max_rel_error < 1e-6
+
+        # a 3-d stack, where the (5,) gain and bias are shared by every
+        # slice and their gradients sum over the slices
+        vals = {"x": rng.standard_normal((2, 3, 5)), "gain": rng.standard_normal(5),
+                "bias": rng.standard_normal(5)}
+        sel3 = rng.standard_normal((2, 3, 5))
+
+        def value(**override):
+            v = {**vals, **override}
+            y = ad.layer_norm_rows(*(ad.constant(v[k]) for k in ("x", "gain", "bias")))
+            return (y.data * sel3).sum()
+
+        ts = {k: ad.parameter(v.copy()) for k, v in vals.items()}
+        ad.backward(ad.sum_all(ad.mul(
+            ad.layer_norm_rows(ts["x"], ts["gain"], ts["bias"]), ad.constant(sel3))))
+        for k, v in vals.items():
+            num = numeric_grad(lambda arr, k=k: value(**{k: arr}), v.copy())
+            np.testing.assert_allclose(ts[k].grad, num, rtol=1e-6, atol=1e-9, err_msg=k)
 
     def test_slice_backward_scatters_into_zero_block(self):
         x = ad.parameter(np.arange(12.0).reshape(4, 3))
@@ -277,10 +326,11 @@ class TestGraphSemantics:
             np.testing.assert_allclose(p.grad, np.full((1, 4), 1.0 / 12), rtol=1e-15)
 
     def test_add_rowvec_bias_gradient_sums_over_rows(self):
-        x = ad.constant(np.zeros((5, 3)))
-        b = ad.parameter(np.zeros(3))
-        ad.backward(ad.sum_all(ad.add_rowvec(x, b)))
-        np.testing.assert_array_equal(b.grad, np.full(3, 5.0))
+        for shape in [(5, 3), (2, 5, 3)]:
+            x = ad.constant(np.zeros(shape))
+            b = ad.parameter(np.zeros(3))
+            ad.backward(ad.sum_all(ad.add_rowvec(x, b)))
+            np.testing.assert_array_equal(b.grad, np.full(3, x.size / 3))
 
     def test_relu_subgradient_is_zero_at_kink(self):
         x = ad.parameter(np.array([-1.0, 0.0, 2.0]))

@@ -161,13 +161,30 @@ class TestForwardValues:
         p2 = mdl.init_prompts(params.embedding, params.prompt_init).data
         np.testing.assert_array_equal(p1, p2)
 
-    def test_forward_batch_matches_per_sample_forward(self):
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_forward_batch_matches_per_sample_forward(self, literal, heads):
         rng = np.random.default_rng(12)
-        params = make_model(seed=10)
+        params = make_model(seed=10, heads=heads, literal=literal)
         feats = [rng.standard_normal((3, 5)) for _ in range(4)]
         batched = mdl.forward_batch(feats, params).data
         singles = np.stack([mdl.forward(f, params).data for f in feats])
-        np.testing.assert_array_equal(batched, singles)
+        assert batched.tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_graph_size_does_not_grow_with_the_batch(self, literal):
+        """One graph per batch: the Tensors built for 8 samples are exactly
+        as many as for 1."""
+        rng = np.random.default_rng(3)
+        params = make_model(seed=1, literal=literal)
+        feats = [rng.standard_normal((3, 5)) for _ in range(8)]
+
+        def tensors_built(batch):
+            start = ad.constant(0.0)._seq
+            mdl.forward_batch(batch, params)
+            return ad.constant(0.0)._seq - start
+
+        assert tensors_built(feats[:1]) == tensors_built(feats)
 
     def test_refined_prompts_have_one_row_per_class(self):
         params = make_model(seed=0)

@@ -191,6 +191,17 @@ class TestCheckpointRoundTrip:
         with pytest.raises(FileTruncatedError):
             load_checkpoint(p)
 
+    def test_oversize_shape_is_a_format_error(self, tmp_path):
+        """u32 dims whose product overflows 64 bits must not wrap to a
+        small or negative byte count."""
+        record = (len(b"x").to_bytes(4, "little") + b"x" + (2).to_bytes(4, "little")
+                  + (2**32 - 1).to_bytes(4, "little") * 2 + bytes(16))
+        p = tmp_path / "huge.cprc"
+        p.write_bytes(b"CPRC" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little")
+                      + record)
+        with pytest.raises(FileFormatError):
+            load_checkpoint(p)
+
     def test_metadata_echo(self, tmp_path):
         cfg, result = self._train_small(tmp_path)
         ckpt = load_checkpoint(result.final_checkpoint)
@@ -308,14 +319,16 @@ class TestUntrainedScores:
         prevalence = test_ds.labels_matrix().mean()
         assert abs(report.map_total - prevalence) < 0.15
 
-    def test_chunking_invariance(self):
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_chunking_invariance(self, literal, heads):
         train_ds, test_ds = tiny_data()
-        cfg = tiny_config()
+        cfg = tiny_config(dims=ModelDims(d0=5, d=8, v=4, c=6, heads=heads, ffn=12))
         from promptrefine.model import init_model
         from promptrefine.data import embedding_provider
         emb = embedding_provider("random", c=6, m=7, seed=0,
                                  class_names=train_ds.class_names)
-        params = init_model(cfg.dims, emb, seed=0)
+        params = init_model(cfg.dims, emb, seed=0, literal_equations=literal)
         a = score_dataset(params, test_ds, chunk=3)
         b = score_dataset(params, test_ds, chunk=100)
         assert a.tobytes() == b.tobytes()
