@@ -4,14 +4,15 @@ A small numpy-backed stack: a reverse-mode autodiff engine
 (:mod:`promptrefine.autodiff`), a prompt-based classifier that initializes
 per-class query prompts from semantic embeddings and refines them against
 visual features through a transformer interaction
-(:mod:`promptrefine.model`), asymmetric / focal / BCE losses
-(:mod:`promptrefine.losses`), non-interpolated mAP evaluation grouped by
-class frequency (:mod:`promptrefine.metrics`), a synthetic long-tailed
-dataset generator with binary file formats (:mod:`promptrefine.data`), and
-an Adam trainer with bitwise-reproducible checkpoints
-(:mod:`promptrefine.training`).  ``promptrefine.baseline`` holds the
-mean-pooled linear reference model and ``promptrefine.cli`` the command
-line (``gen-data`` / ``train`` / ``eval`` / ``gradcheck``).
+(:mod:`promptrefine.model`), the asymmetric loss with focal and BCE as
+presets (:mod:`promptrefine.losses`), non-interpolated mAP evaluation
+grouped by class frequency (:mod:`promptrefine.metrics`), a synthetic
+long-tailed dataset generator with binary file formats
+(:mod:`promptrefine.data`), and an Adam trainer with bitwise-reproducible
+checkpoints (:mod:`promptrefine.training`).  ``promptrefine.baseline``
+holds the mean-pooled linear reference model, trained by the same epoch
+loop, and ``promptrefine.cli`` the command line (``gen-data`` / ``train``
+/ ``eval`` / ``gradcheck``).
 """
 
 from . import autodiff

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NonFiniteError, Tensor
+from .autodiff import Tensor
 from .data import LongTailDataset, split_groups
 from .losses import get_loss
 from .metrics import EvalReport, map_report
+from .training import Adam, run_epoch
 
 __all__ = ["BaselineParams", "init_baseline", "baseline_forward_batch",
            "score_baseline", "train_baseline"]
@@ -63,10 +64,8 @@ def train_baseline(train_ds: LongTailDataset, test_ds: LongTailDataset,
                    learning_rate: float = 5e-5, weight_decay: float = 1e-4,
                    seed: int = 0) -> tuple[BaselineParams, EvalReport]:
     """Identical training protocol to the prompt model: Adam, the same loss
-    family, the same epoch-keyed shuffles.  Returns the trained parameters
-    and the final test report grouped by the training-set counts."""
-    from .training import Adam  # local import to avoid a cycle
-
+    family, the same epoch loop.  Returns the trained parameters and the
+    final test report grouped by the training-set counts."""
     d0 = train_ds.samples[0].features.shape[1]
     params = init_baseline(d0, train_ds.c, seed)
     adam = Adam(params.learnable(), learning_rate, weight_decay)
@@ -74,16 +73,8 @@ def train_baseline(train_ds: LongTailDataset, test_ds: LongTailDataset,
     groups = split_groups(train_ds.class_counts)
 
     for epoch in range(epochs):
-        order = np.random.default_rng([seed, epoch]).permutation(len(train_ds))
-        for b, start in enumerate(range(0, len(order), batch_size)):
-            batch = [train_ds.samples[i] for i in order[start:start + batch_size]]
-            labels = np.stack([s.labels for s in batch])
-            adam.zero_grad()
-            loss = loss_fn(baseline_forward_batch(batch, params), labels)
-            if not np.isfinite(loss.data).all():
-                raise NonFiniteError(f"non-finite loss at epoch {epoch} batch {b}")
-            ad.backward(loss)
-            adam.step()
+        run_epoch(train_ds, seed, epoch, batch_size,
+                  lambda batch: baseline_forward_batch(batch, params), loss_fn, adam)
 
     report = map_report(score_baseline(params, test_ds),
                         test_ds.labels_matrix(), groups)

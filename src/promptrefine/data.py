@@ -306,13 +306,13 @@ class _Reader:
                 f"{self.path}: {len(self.blob) - self.pos} trailing bytes after payload")
 
 
-def _check_header(r: _Reader, magic: bytes) -> None:
+def _check_header(r: _Reader, magic: bytes, version: int = FORMAT_VERSION) -> None:
     got = r.take(4)
     if got != magic:
         raise FileFormatError(f"{r.path}: bad magic {got!r}, expected {magic!r}")
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise FileVersionError(f"{r.path}: unsupported version {version}")
+    found = r.u32()
+    if found != version:
+        raise FileVersionError(f"{r.path}: unsupported version {found}")
 
 
 def _encode_names(names) -> bytes:

@@ -1,11 +1,14 @@
 """Multi-label classification losses over per-class probabilities.
 
-All three losses take a score tensor ``s`` holding probabilities — a
-``(c,)`` vector for one sample or an ``(r, c)`` matrix for a batch — plus
-a same-shaped binary label array.  The scalar result is the mean over
-samples of the per-sample sum over classes, so the single-sample and
-batched forms agree.  Scores are clamped to ``[eps, ...]`` before any log
-so saturated probabilities cannot produce infinities.
+One loss builds graph nodes: the asymmetric loss ``asl``.  Binary
+cross-entropy and the symmetric focal loss are presets of it,
+(gamma_pos, gamma_neg, mu) = (0, 0, 0) and (gamma, gamma, 0).  The loss
+takes a score tensor ``s`` holding probabilities — a ``(c,)`` vector for
+one sample or an ``(r, c)`` matrix for a batch — plus a same-shaped
+binary label array.  The scalar result is the mean over samples of the
+per-sample sum over classes, so the single-sample and batched forms
+agree.  Scores are clamped to ``[eps, ...]`` before any log so saturated
+probabilities cannot produce infinities.
 """
 
 from __future__ import annotations
@@ -69,7 +72,11 @@ def asl(s: Tensor, y: np.ndarray, cfg: ASLConfig | None = None) -> Tensor:
            + (1 - y_j) * m_j^gamma_neg * log(1 - m_j) ]
 
     where m_j = max(s_j - mu, 0) is the margin-shifted negative score.
-    With gamma_pos = gamma_neg = mu = 0 this is exactly ``bce``.
+    ``bce`` is (gamma_pos, gamma_neg, mu) = (0, 0, 0) and ``focal`` is
+    (gamma, gamma, 0).  Those presets still pass s_j - 0 through the relu,
+    so a negative scored exactly 0.0 sits on the kink and gets gradient 0,
+    where the textbook BCE gradient is 1/rows.  A sigmoid returns exactly
+    0.0 only for a logit below about -745.
     """
     cfg = cfg or ASLConfig()
     y, rows = _check_inputs(s, y)
@@ -92,53 +99,36 @@ def asl(s: Tensor, y: np.ndarray, cfg: ASLConfig | None = None) -> Tensor:
 
 
 def bce(s: Tensor, y: np.ndarray, eps: float = 1e-8) -> Tensor:
-    """Plain binary cross-entropy over probabilities."""
-    y, rows = _check_inputs(s, y)
-    pos = ad.mul(ad.constant(y), ad.log(ad.clamp_min(s, eps)))
-    one_minus_s = ad.add_scalar(ad.neg(s), 1.0)
-    neg = ad.mul(ad.constant(1.0 - y), ad.log(ad.clamp_min(one_minus_s, eps)))
-    total = ad.sum_all(ad.add(pos, neg))
-    return ad.scale(total, -1.0 / rows)
+    """Plain binary cross-entropy over probabilities: ASL with no focusing
+    and no margin."""
+    return asl(s, y, ASLConfig(0.0, 0.0, 0.0, eps))
 
 
 def focal(s: Tensor, y: np.ndarray, gamma: float = 2.0, eps: float = 1e-8) -> Tensor:
-    """Symmetric focal loss: both branches share the focusing exponent.
+    """Symmetric focal loss, ASL with gamma on both branches and no margin:
 
     -[ y * (1-s)^gamma * log(s) + (1-y) * s^gamma * log(1-s) ];
     gamma = 0 reduces to ``bce``.
     """
-    if gamma < 0:
-        raise ValueError(f"focal gamma must be >= 0, got {gamma}")
-    y, rows = _check_inputs(s, y)
-    one_minus_s = ad.add_scalar(ad.neg(s), 1.0)
-    pos = ad.mul(ad.constant(y),
-                 ad.mul(ad.power(one_minus_s, gamma),
-                        ad.log(ad.clamp_min(s, eps))))
-    neg = ad.mul(ad.constant(1.0 - y),
-                 ad.mul(ad.power(s, gamma),
-                        ad.log(ad.clamp_min(one_minus_s, eps))))
-    total = ad.sum_all(ad.add(pos, neg))
-    return ad.scale(total, -1.0 / rows)
+    return asl(s, y, ASLConfig(gamma, gamma, 0.0, eps))
 
 
 def get_loss(name: str, loss_cfg: dict | None = None) -> Callable[[Tensor, np.ndarray], Tensor]:
-    """Resolve a loss by config name ("asl", "bce", "focal").
+    """Resolve a loss by config name ("asl", "bce", "focal") to ``asl``
+    under the matching ``ASLConfig``.
 
     ``loss_cfg`` holds the optional keys gamma_pos / gamma_neg / mu for
     asl and gamma for focal; unknown names raise ValueError.
     """
-    loss_cfg = dict(loss_cfg or {})
-    loss_cfg.pop("name", None)
+    loss_cfg = loss_cfg or {}
     if name == "asl":
-        cfg = ASLConfig(
-            gamma_pos=float(loss_cfg.get("gamma_pos", 0.0)),
-            gamma_neg=float(loss_cfg.get("gamma_neg", 4.0)),
-            mu=float(loss_cfg.get("mu", 0.05)),
-        )
-        return lambda s, y: asl(s, y, cfg)
-    if name == "bce":
-        return bce
-    if name == "focal":
+        cfg = ASLConfig(**{key: float(loss_cfg[key])
+                           for key in ("gamma_pos", "gamma_neg", "mu") if key in loss_cfg})
+    elif name == "bce":
+        cfg = ASLConfig(0.0, 0.0, 0.0)
+    elif name == "focal":
         gamma = float(loss_cfg.get("gamma", 2.0))
-        return lambda s, y: focal(s, y, gamma)
-    raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
+        cfg = ASLConfig(gamma, gamma, 0.0)
+    else:
+        raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
+    return lambda s, y: asl(s, y, cfg)

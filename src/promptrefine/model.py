@@ -365,8 +365,7 @@ def _stack_features(samples, dims: ModelDims) -> np.ndarray:
     return np.stack(features)
 
 
-def _forward_stacked(features: np.ndarray, params: ModelParams,
-                     literal_equations: bool | None) -> tuple[Tensor, PromptSet]:
+def _forward_stacked(features: np.ndarray, params: ModelParams) -> tuple[Tensor, PromptSet]:
     """One graph for a (B, v, d0) feature stack: scores (B, c), the shared
     initial prompts (c, d) and the refined prompts (B, c, d).
 
@@ -374,43 +373,38 @@ def _forward_stacked(features: np.ndarray, params: ModelParams,
     encoder and the classifier, so the prompts' gradient carries both
     routes, summed over the batch.
     """
-    literal = params.literal_equations if literal_equations is None else literal_equations
     F = project_features(ad.constant(features), params.projection)
     P = init_prompts(params.embedding, params.prompt_init)
     P_batch = ad.broadcast_batch(P, features.shape[0])
-    refined = vsi_forward(F, P_batch, params.interaction, literal_equations=literal)
+    refined = vsi_forward(F, P_batch, params.interaction,
+                          literal_equations=params.literal_equations)
     return classify(refined, P_batch), PromptSet(initial=P, refined=refined)
 
 
-def forward_with_prompts(sample, params: ModelParams,
-                         literal_equations: bool | None = None) -> tuple[Tensor, PromptSet]:
+def forward_with_prompts(sample, params: ModelParams) -> tuple[Tensor, PromptSet]:
     """Full forward pass of one sample returning scores (c,) plus both
     prompt sets, (c, d) each."""
-    scores, prompts = _forward_stacked(_stack_features([sample], params.dims), params,
-                                       literal_equations)
+    scores, prompts = _forward_stacked(_stack_features([sample], params.dims), params)
     c, d = prompts.initial.shape
     return ad.reshape(scores, (c,)), PromptSet(
         initial=prompts.initial, refined=ad.reshape(prompts.refined, (c, d)))
 
 
-def forward(sample, params: ModelParams,
-            literal_equations: bool | None = None) -> Tensor:
+def forward(sample, params: ModelParams) -> Tensor:
     """Per-class probabilities (c,) for one sample: ``forward_batch`` of a
     batch of one."""
-    scores = forward_batch([sample], params, literal_equations)
+    scores = forward_batch([sample], params)
     return ad.reshape(scores, (params.dims.c,))
 
 
-def forward_batch(samples, params: ModelParams,
-                  literal_equations: bool | None = None) -> Tensor:
+def forward_batch(samples, params: ModelParams) -> Tensor:
     """Scores (len(samples), c) for a batch, built as one graph.
 
     The samples are stacked and every stage runs on the stack, so the
     number of graph nodes does not grow with the batch.  Each row is
     bitwise equal to ``forward`` of that sample.
     """
-    scores, _ = _forward_stacked(_stack_features(samples, params.dims), params,
-                                 literal_equations)
+    scores, _ = _forward_stacked(_stack_features(samples, params.dims), params)
     return scores
 
 

@@ -1,8 +1,8 @@
 """Training loop, Adam optimizer, and checkpoint persistence.
 
-Everything here is bitwise deterministic: the epoch shuffle is keyed by
-``default_rng([seed, epoch])`` (so a resumed run visits the exact batches
-the uninterrupted run would), parameters and Adam moments are stored as
+Everything here is bitwise deterministic: ``run_epoch`` keys the shuffle
+by (seed, epoch) (so a resumed run visits the exact batches the
+uninterrupted run would), parameters and Adam moments are stored as
 raw float64, and the checkpoint metadata is canonical JSON.  Running the
 same config twice, or interrupting and resuming, reproduces the metric
 history and the final checkpoint byte for byte.
@@ -32,9 +32,9 @@ from . import autodiff as ad
 from .autodiff import NonFiniteError, Tensor
 from .data import (
     FileFormatError,
-    FileTruncatedError,
-    FileVersionError,
     LongTailDataset,
+    _check_header,
+    _Reader,
     embedding_provider,
     load_features,
     split_groups,
@@ -58,6 +58,7 @@ __all__ = [
     "load_checkpoint",
     "rebuild_model",
     "TrainResult",
+    "run_epoch",
     "train_on_datasets",
     "train",
     "evaluate",
@@ -133,27 +134,16 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {"epochs", "batch_size", "learning_rate", "weight_decay",
-                 "loss", "dims", "embedding", "seed", "literal_equations"}
-        unknown = set(d) - known
+        casts = {"epochs": int, "batch_size": int, "seed": int,
+                 "learning_rate": float, "weight_decay": float,
+                 "loss": dict, "embedding": dict, "literal_equations": bool}
+        unknown = set(d) - set(casts) - {"dims"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "dims" not in d:
             raise ValueError("config needs a 'dims' section")
-        kwargs = {"dims": ModelDims.from_dict(d["dims"])}
-        for key in ("epochs", "batch_size", "seed"):
-            if key in d:
-                kwargs[key] = int(d[key])
-        for key in ("learning_rate", "weight_decay"):
-            if key in d:
-                kwargs[key] = float(d[key])
-        if "loss" in d:
-            kwargs["loss"] = dict(d["loss"])
-        if "embedding" in d:
-            kwargs["embedding"] = dict(d["embedding"])
-        if "literal_equations" in d:
-            kwargs["literal_equations"] = bool(d["literal_equations"])
-        return cls(**kwargs)
+        return cls(dims=ModelDims.from_dict(d["dims"]),
+                   **{key: cast(d[key]) for key, cast in casts.items() if key in d})
 
 
 # ---------------------------------------------------------------------------
@@ -255,56 +245,35 @@ def save_checkpoint(path, params: ModelParams, adam: Adam, cfg: TrainConfig,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise FileTruncatedError(
-                f"{path}: needed {n} bytes at offset {pos}, file has {len(blob)}")
-        out = blob[pos:pos + n]
-        pos += n
-        return out
-
-    def u32() -> int:
-        return struct.unpack("<I", take(4))[0]
-
-    magic = take(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    version = u32()
-    if version != CHECKPOINT_VERSION:
-        raise FileVersionError(f"{path}: unsupported version {version}")
-
-    tensors = {}
-    for _ in range(u32()):
-        name = take(u32()).decode("utf-8")
-        shape = tuple(u32() for _ in range(u32()))
-        # Python ints: a product of u32 dims never wraps, so an oversize
-        # shape fails take()'s bound check against the bytes left.
-        count = math.prod(shape)
-        tensors[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
-
-    meta_len = u32()
+    """Read a checkpoint; any malformed file raises ``FileFormatError``."""
+    r = _Reader(Path(path).read_bytes(), str(path))
+    _check_header(r, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     try:
-        meta = json.loads(take(meta_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path}: bad metadata block: {exc}") from exc
-    if pos != len(blob):
-        raise FileFormatError(f"{path}: {len(blob) - pos} trailing bytes after payload")
-
-    return Checkpoint(
-        config=TrainConfig.from_dict(meta["config"]),
-        epoch=int(meta["epoch"]),
-        history=meta["history"],
-        tensors=tensors,
-        adam_t=int(meta["adam"]["t"]),
-        adam_scalars={k: meta["adam"][k] for k in ("beta1", "beta2", "eps")},
-        class_names=meta["class_names"],
-        groups=meta["groups"],
-        class_counts=meta["class_counts"],
-    )
+        tensors = {}
+        for _ in range(r.u32()):
+            name = r.take(r.u32()).decode("utf-8")
+            shape = tuple(r.u32() for _ in range(r.u32()))
+            # Python ints: a product of u32 dims never wraps, so an oversize
+            # shape fails take()'s bound check against the bytes left.
+            count = math.prod(shape)
+            tensors[name] = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape).copy()
+        meta = json.loads(r.take(r.u32()).decode("utf-8"))
+        r.done()
+        return Checkpoint(
+            config=TrainConfig.from_dict(meta["config"]),
+            epoch=int(meta["epoch"]),
+            history=meta["history"],
+            tensors=tensors,
+            adam_t=int(meta["adam"]["t"]),
+            adam_scalars={k: meta["adam"][k] for k in ("beta1", "beta2", "eps")},
+            class_names=meta["class_names"],
+            groups=meta["groups"],
+            class_counts=meta["class_counts"],
+        )
+    except FileFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
 
 
 def rebuild_model(ckpt: Checkpoint) -> ModelParams:
@@ -387,6 +356,26 @@ def _build_embedding(cfg: TrainConfig, train_ds: LongTailDataset) -> SemanticEmb
     )
 
 
+def run_epoch(train_ds: LongTailDataset, seed: int, epoch: int, batch_size: int,
+              score, loss_fn, adam: Adam) -> float:
+    """One pass over ``train_ds`` in the order keyed by (seed, epoch), one
+    Adam step per batch; returns the mean training loss.  ``score`` maps a
+    list of samples to their (B, c) score tensor."""
+    order = np.random.default_rng([seed, epoch]).permutation(len(train_ds))
+    total_loss = 0.0
+    for b, start in enumerate(range(0, len(order), batch_size)):
+        batch = [train_ds.samples[i] for i in order[start:start + batch_size]]
+        labels = np.stack([s.labels for s in batch])
+        adam.zero_grad()
+        loss = loss_fn(score(batch), labels)
+        if not np.isfinite(loss.data).all():
+            raise NonFiniteError(f"non-finite loss at epoch {epoch} batch {b}")
+        ad.backward(loss)
+        adam.step()
+        total_loss += float(loss.data) * len(batch)
+    return total_loss / len(order)
+
+
 def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
                       test_ds: LongTailDataset, out_dir,
                       resume_from=None) -> TrainResult:
@@ -426,25 +415,13 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
     test_labels = test_ds.labels_matrix()
     report = None
     for epoch in range(start_epoch, cfg.epochs):
-        order = np.random.default_rng([cfg.seed, epoch]).permutation(len(train_ds))
-        total_loss = 0.0
-        for b, start in enumerate(range(0, len(order), cfg.batch_size)):
-            batch_idx = order[start:start + cfg.batch_size]
-            batch = [train_ds.samples[i] for i in batch_idx]
-            labels = np.stack([s.labels for s in batch])
-            adam.zero_grad()
-            scores = forward_batch(batch, params)
-            loss = loss_fn(scores, labels)
-            if not np.isfinite(loss.data).all():
-                raise NonFiniteError(f"non-finite loss at epoch {epoch} batch {b}")
-            ad.backward(loss)
-            adam.step()
-            total_loss += float(loss.data) * len(batch)
-
+        train_loss = run_epoch(train_ds, cfg.seed, epoch, cfg.batch_size,
+                               lambda batch: forward_batch(batch, params),
+                               loss_fn, adam)
         report = map_report(score_dataset(params, test_ds), test_labels, groups)
         history.append({
             "epoch": epoch,
-            "train_loss": total_loss / len(order),
+            "train_loss": train_loss,
             "map_total": report.map_total,
             "map_head": report.map_head,
             "map_medium": report.map_medium,

@@ -61,14 +61,19 @@ class TestDegenerationIdentity:
             assert abs(a - b) <= 1e-12
             assert abs(b - f) <= 1e-12
 
-    def test_matches_straight_line_oracle(self):
+    @pytest.mark.parametrize("loss, knobs", [
+        (lambda s, y: asl(s, y, ASLConfig()), (0.0, 4.0, 0.05)),
+        (bce, (0.0, 0.0, 0.0)),
+        (lambda s, y: focal(s, y, gamma=2.0), (2.0, 2.0, 0.0)),
+    ], ids=["asl", "bce", "focal"])
+    def test_matches_straight_line_oracle(self, loss, knobs):
         rng = np.random.default_rng(11)
         for _ in range(100):
             r, c = int(rng.integers(1, 5)), int(rng.integers(1, 8))
             s_val = rng.uniform(0.001, 0.999, size=(r, c))
             y = (rng.random((r, c)) < 0.5).astype(float)
-            got = float(asl(ad.constant(s_val), y, ASLConfig()).data)
-            want = asl_oracle(s_val, y, 0.0, 4.0, 0.05)
+            got = float(loss(ad.constant(s_val), y).data)
+            want = asl_oracle(s_val, y, *knobs)
             assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 

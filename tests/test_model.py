@@ -147,11 +147,11 @@ class TestForwardValues:
         np.testing.assert_allclose(s, want, rtol=1e-15)
 
     def test_literal_and_standard_paths_differ(self):
+        """The same seed gives the same weights, so only the path differs."""
         rng = np.random.default_rng(8)
-        params = make_model(seed=4)
         features = rng.standard_normal((3, 5))
-        s_std = mdl.forward(features, params, literal_equations=False).data
-        s_lit = mdl.forward(features, params, literal_equations=True).data
+        s_std = mdl.forward(features, make_model(seed=4)).data
+        s_lit = mdl.forward(features, make_model(seed=4, literal=True)).data
         assert not np.allclose(s_std, s_lit)
 
     def test_prompt_initialization_ignores_everything_but_embedding(self):

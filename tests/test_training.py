@@ -1,11 +1,13 @@
 """Tests for the optimizer, checkpoints, and the training loop."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from promptrefine import autodiff as ad
+from promptrefine import baseline, training
 from promptrefine.data import (
     FileFormatError,
     FileTruncatedError,
@@ -202,6 +204,21 @@ class TestCheckpointRoundTrip:
         with pytest.raises(FileFormatError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("record, meta", [
+        ((1).to_bytes(4, "little") + b"\xff" + (0).to_bytes(4, "little") + bytes(8), {}),
+        (b"", {}),
+        (b"", []),
+        (b"", {"config": {**tiny_config().to_dict(), "dims": {"d0": 5, "d": 8}}}),
+    ], ids=["non-utf8-name", "empty-metadata", "list-metadata", "dims-missing-keys"])
+    def test_malformed_checkpoint_is_a_format_error(self, tmp_path, record, meta):
+        raw = json.dumps(meta).encode("utf-8")
+        p = tmp_path / "bad.cprc"
+        p.write_bytes(b"CPRC" + (1).to_bytes(4, "little")
+                      + (1 if record else 0).to_bytes(4, "little") + record
+                      + len(raw).to_bytes(4, "little") + raw)
+        with pytest.raises(FileFormatError, match=re.escape(str(p))):
+            load_checkpoint(p)
+
     def test_metadata_echo(self, tmp_path):
         cfg, result = self._train_small(tmp_path)
         ckpt = load_checkpoint(result.final_checkpoint)
@@ -282,6 +299,19 @@ class TestTrainingLoop:
         train_ds, test_ds = tiny_data(n_max=40)
         r = train_on_datasets(cfg, train_ds, test_ds, tmp_path / "run")
         assert r.history[-1]["train_loss"] < r.history[0]["train_loss"]
+
+    def test_non_finite_loss_names_epoch_and_batch(self, tmp_path, monkeypatch):
+        """Both trainers share the epoch loop and its non-finite check."""
+        def nan_loss(name, loss_cfg=None):
+            return lambda s, y: ad.scale(ad.sum_all(s), float("nan"))
+
+        monkeypatch.setattr(training, "get_loss", nan_loss)
+        monkeypatch.setattr(baseline, "get_loss", nan_loss)
+        train_ds, test_ds = tiny_data()
+        with pytest.raises(ad.NonFiniteError, match="epoch 0 batch 0"):
+            train_on_datasets(tiny_config(), train_ds, test_ds, tmp_path / "run")
+        with pytest.raises(ad.NonFiniteError, match="epoch 0 batch 0"):
+            baseline.train_baseline(train_ds, test_ds, epochs=1)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         cfg = tiny_config(dims=ModelDims(d0=5, d=8, v=4, c=9, heads=2, ffn=12))
