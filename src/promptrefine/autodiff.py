@@ -21,10 +21,19 @@ right operand, the vector of ``add_rowvec`` and the ``layer_norm_rows``
 gain and bias apply to every slice, and their gradients are summed over
 the leading axes.  ``broadcast_batch`` makes that broadcast explicit
 for any tensor.
+
+A graph holds memory only while a backward pass can still use it.
+Inside ``with no_grad():`` every primitive returns a plain tensor with no
+parents and no closure, so each intermediate is freed as soon as it is
+consumed; scoring and finite-difference probes run this way.  ``backward``
+consumes its graph: once the sweep is done every node it visited keeps
+its ``.grad`` but drops its parents and its closure, and a second
+``backward`` through that graph raises :class:`GraphFreedError`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,7 +46,9 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "NonFiniteError",
+    "GraphFreedError",
     "GradCheckResult",
+    "no_grad",
     "constant",
     "parameter",
     "matmul",
@@ -63,11 +74,13 @@ __all__ = [
     "sum_all",
     "sum_rows",
     "mean_all",
+    "inner_sum",
     "backward",
     "grad_check",
 ]
 
 _CREATION_COUNTER = itertools.count()
+_GRAD_ENABLED = True
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -79,6 +92,10 @@ class ShapeError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """Raised when a value that must be finite contains NaN or +/-Inf."""
+
+
+class GraphFreedError(RuntimeError):
+    """Raised by ``backward`` through a graph an earlier ``backward`` freed."""
 
 
 class Tensor:
@@ -181,12 +198,29 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
             t.grad += g
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: every primitive returns a tensor
+    with the same data but no parents, no closure and ``requires_grad``
+    False.  Nests; the previous state comes back on exit, exceptions
+    included."""
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
+
+
 def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     # An output no gradient can reach keeps no parents, so a graph of
     # constants frees each intermediate as soon as it is consumed.
-    for p in parents:
-        if p.requires_grad:
-            return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(data, requires_grad=True, _parents=parents,
+                              _backward=backward_fn)
     return Tensor(data)
 
 
@@ -343,9 +377,9 @@ def softmax_rows(x: Tensor) -> Tensor:
 
     Backward: dX = S * (G - rowsum(G * S)), the standard Jacobian action.
     """
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def _bw(g: np.ndarray) -> None:
         inner = (g * s).sum(axis=-1, keepdims=True)
@@ -507,9 +541,32 @@ def mean_all(x: Tensor) -> Tensor:
     return scale(sum_all(x), 1.0 / x.size)
 
 
+def inner_sum(xs: Iterable[Tensor], ws: Iterable[np.ndarray]) -> Tensor:
+    """sum_i <x_i, w_i> over pairs of same-shape tensor and constant array,
+    as one scalar node.  Backward: dx_i += g * w_i."""
+    pairs = [(x, np.asarray(w, dtype=np.float64)) for x, w in zip(xs, ws, strict=True)]
+    total = 0.0
+    for x, w in pairs:
+        if x.shape != w.shape:
+            raise ShapeError(f"inner_sum shapes differ: {x.shape} vs {w.shape}")
+        total += (x.data * w).sum()
+
+    def _bw(g: np.ndarray) -> None:
+        for x, w in pairs:
+            if x.requires_grad:
+                _accumulate(x, g * w)
+
+    return _from_op(np.asarray(total), tuple(x for x, _ in pairs), _bw)
+
+
 # ---------------------------------------------------------------------------
 # backward pass and gradient checking
 # ---------------------------------------------------------------------------
+
+def _freed(g: np.ndarray) -> None:
+    raise GraphFreedError("backward through a graph that an earlier backward "
+                          "already freed; rebuild the loss to backpropagate again")
+
 
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
@@ -519,6 +576,13 @@ def backward(loss: Tensor) -> None:
     order), accumulating into ``.grad`` by summation.  Tensors touched by
     several downstream consumers therefore end up with the sum of all
     contributions.
+
+    The sweep consumes the graph: each visited node drops its parents and
+    its closure once its gradient has been passed on, so intermediates the
+    caller does not hold are freed before ``backward`` returns.  ``.grad``
+    stays on every tensor the caller still holds.  A later ``backward``
+    that reaches a freed node raises :class:`GraphFreedError` before it
+    deposits any gradient.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -529,15 +593,24 @@ def backward(loss: Tensor) -> None:
     stack = [loss]
     while stack:
         t = stack.pop()
+        if t._backward is _freed:
+            raise GraphFreedError(f"backward reached {t!r}, whose graph an earlier "
+                                  "backward already freed; rebuild the loss")
         reachable.append(t)
         for p in t._parents:
             if p.requires_grad and id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
+    order = sorted(reachable, key=lambda n: n._seq, reverse=True)
+    del reachable
     loss.grad = np.ones_like(loss.data)
-    for t in sorted(reachable, key=lambda n: n._seq, reverse=True):
-        if t._backward is not None and t.grad is not None:
-            t._backward(t.grad)
+    for i, t in enumerate(order):
+        order[i] = None   # once its consumers are done, only the caller keeps t
+        if t._backward is not None:
+            if t.grad is not None:
+                t._backward(t.grad)
+            t._parents = ()
+            t._backward = _freed
 
 
 @dataclass
@@ -562,8 +635,9 @@ def grad_check(f: Callable[[], Tensor],
 
         |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)
 
-    maximised over all entries.  Non-finite values raise
-    :class:`NonFiniteError` naming the offending parameter.
+    maximised over all entries.  The probes run under :func:`no_grad`.
+    Non-finite values raise :class:`NonFiniteError` naming the offending
+    parameter.
     """
     if eps <= 0:
         raise ValueError(f"grad_check eps must be positive, got {eps}")
@@ -581,24 +655,26 @@ def grad_check(f: Callable[[], Tensor],
     worst = 0.0
     worst_name = ""
     n_entries = 0
-    for name, t in items:
-        if not t.requires_grad:
-            continue
-        flat = t.data.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + eps
-            up = float(f().data)
-            flat[i] = saved - eps
-            down = float(f().data)
-            flat[i] = saved
-            if not (math.isfinite(up) and math.isfinite(down)):
-                raise NonFiniteError(f"grad_check: non-finite loss while perturbing {name}[{i}]")
-            numeric = (up - down) / (2.0 * eps)
-            rel = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), 1e-8)
-            n_entries += 1
-            if rel > worst:
-                worst = rel
-                worst_name = f"{name}[{i}]"
+    with no_grad():
+        for name, t in items:
+            if not t.requires_grad:
+                continue
+            flat = t.data.reshape(-1)
+            a_flat = analytic[name].reshape(-1)
+            for i in range(flat.size):
+                saved = flat[i]
+                flat[i] = saved + eps
+                up = float(f().data)
+                flat[i] = saved - eps
+                down = float(f().data)
+                flat[i] = saved
+                if not (math.isfinite(up) and math.isfinite(down)):
+                    raise NonFiniteError(
+                        f"grad_check: non-finite loss while perturbing {name}[{i}]")
+                numeric = (up - down) / (2.0 * eps)
+                rel = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), 1e-8)
+                n_entries += 1
+                if rel > worst:
+                    worst = rel
+                    worst_name = f"{name}[{i}]"
     return GradCheckResult(max_rel_error=worst, worst_param=worst_name, n_entries=n_entries)

@@ -55,7 +55,9 @@ def baseline_forward_batch(samples, params: BaselineParams) -> Tensor:
 
 
 def score_baseline(params: BaselineParams, dataset: LongTailDataset) -> np.ndarray:
-    return baseline_forward_batch(dataset.samples, params).data
+    """Probability matrix (n, c), scored under ``no_grad``."""
+    with ad.no_grad():
+        return baseline_forward_batch(dataset.samples, params).data
 
 
 def train_baseline(train_ds: LongTailDataset, test_ds: LongTailDataset,

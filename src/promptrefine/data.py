@@ -29,6 +29,7 @@ c*m float32.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -315,6 +316,21 @@ def _check_header(r: _Reader, magic: bytes, version: int = FORMAT_VERSION) -> No
         raise FileVersionError(f"{r.path}: unsupported version {found}")
 
 
+def _write_atomic(path, blob: bytes) -> None:
+    """Write ``blob`` to a temp file in the target's directory, then
+    ``os.replace`` it onto ``path``: a reader sees the old file or the new
+    one, never part of one, and a failed write leaves no temp file behind.
+    There is no fsync, so this does not guard against power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _encode_names(names) -> bytes:
     out = bytearray()
     for n in names:
@@ -335,7 +351,7 @@ def save_features(dataset: LongTailDataset, path) -> None:
             raise ValueError(f"inconsistent feature shape {s.features.shape}")
         blob += s.features.astype("<f4").tobytes()
         blob += s.labels.astype(np.uint8).tobytes()
-    Path(path).write_bytes(bytes(blob))
+    _write_atomic(path, bytes(blob))
 
 
 def load_features(path) -> LongTailDataset:
@@ -366,7 +382,7 @@ def save_embeddings(class_names, W: np.ndarray, path) -> None:
     blob += struct.pack("<III", FORMAT_VERSION, W.shape[0], W.shape[1])
     blob += _encode_names(class_names)
     blob += W.astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    _write_atomic(path, bytes(blob))
 
 
 def load_embeddings(path) -> tuple[list, np.ndarray]:

@@ -57,7 +57,7 @@ def _check_inputs(s: Tensor, y: np.ndarray) -> tuple[np.ndarray, int]:
         raise ad.ShapeError(f"scores {s.shape} and labels {y.shape} differ")
     if s.data.ndim not in (1, 2):
         raise ad.ShapeError(f"scores must be a vector or matrix, got {s.shape}")
-    if not np.isin(y, (0.0, 1.0)).all():
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("labels must be binary")
     rows = s.shape[0] if s.data.ndim == 2 else 1
     return y, rows

@@ -35,12 +35,13 @@ from .data import (
     LongTailDataset,
     _check_header,
     _Reader,
+    _write_atomic,
     embedding_provider,
     load_features,
     split_groups,
 )
 from .losses import LOSS_NAMES, get_loss
-from .metrics import EvalReport, map_report
+from .metrics import GROUP_ORDER, EvalReport, map_report
 from .model import (
     ModelDims,
     ModelParams,
@@ -241,7 +242,28 @@ def save_checkpoint(path, params: ModelParams, adam: Adam, cfg: TrainConfig,
         blob += _pack_record(name, tensors[name])
     blob += struct.pack("<I", len(meta_bytes))
     blob += meta_bytes
-    Path(path).write_bytes(bytes(blob))
+    _write_atomic(path, bytes(blob))
+
+
+def _check_metadata(meta: dict) -> None:
+    """Type-check the class and history metadata; load_checkpoint turns
+    the TypeError or ValueError into a FileFormatError."""
+    names = meta["class_names"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise TypeError(f"class_names must be a list of str, got {names!r}")
+    groups = meta["groups"]
+    if not (isinstance(groups, list) and len(groups) == len(names)
+            and all(g in GROUP_ORDER for g in groups)):
+        raise ValueError(f"groups must be {len(names)} tags from {GROUP_ORDER}, "
+                         f"got {groups!r}")
+    counts = meta["class_counts"]
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+    if not (isinstance(counts, list) and len(counts) == len(names)
+            and all(type(n) is int and n >= 0 for n in counts)):
+        raise ValueError(f"class_counts must be {len(names)} ints >= 0, got {counts!r}")
+    history = meta["history"]
+    if not (isinstance(history, list) and all(isinstance(h, dict) for h in history)):
+        raise TypeError(f"history must be a list of dicts, got {history!r}")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -259,6 +281,7 @@ def load_checkpoint(path) -> Checkpoint:
             tensors[name] = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape).copy()
         meta = json.loads(r.take(r.u32()).decode("utf-8"))
         r.done()
+        _check_metadata(meta)
         return Checkpoint(
             config=TrainConfig.from_dict(meta["config"]),
             epoch=int(meta["epoch"]),
@@ -314,11 +337,12 @@ def _restore_adam(adam: Adam, ckpt: Checkpoint) -> None:
 
 def score_dataset(params: ModelParams, dataset: LongTailDataset,
                   chunk: int = EVAL_CHUNK) -> np.ndarray:
-    """Probability matrix (n, c).  Chunking is a memory bound only: each
-    chunk is one graph, dropped before the next is built, and any chunk
-    size gives bitwise identical rows."""
-    rows = [forward_batch(dataset.samples[start:start + chunk], params).data
-            for start in range(0, len(dataset), chunk)]
+    """Probability matrix (n, c), scored under ``no_grad`` so no graph is
+    kept.  Chunking is a memory bound only: any chunk size gives bitwise
+    identical rows."""
+    with ad.no_grad():
+        rows = [forward_batch(dataset.samples[start:start + chunk], params).data
+                for start in range(0, len(dataset), chunk)]
     return np.concatenate(rows, axis=0)
 
 
@@ -541,18 +565,12 @@ def run_gradcheck(cfg: TrainConfig, eps: float = 1e-5,
     adam.zero_grad()
     ad.backward(bare())
     tilt_rng = np.random.default_rng([cfg.seed, 7919])
-    tilts = {
-        name: ad.constant(
-            np.where(p.grad_or_zeros() >= 0.0, 1.0, -1.0)
-            * tilt_rng.uniform(tilt_scale, 2.0 * tilt_scale, size=p.data.shape))
-        for name, p in learnable.items()
-    }
+    tilts = [np.where(p.grad_or_zeros() >= 0.0, 1.0, -1.0)
+             * tilt_rng.uniform(tilt_scale, 2.0 * tilt_scale, size=p.data.shape)
+             for p in learnable.values()]
 
     def f() -> Tensor:
-        loss = bare()
-        for name, p in learnable.items():
-            loss = ad.add(loss, ad.sum_all(ad.mul(p, tilts[name])))
-        return loss
+        return ad.add(bare(), ad.inner_sum(learnable.values(), tilts))
 
     result = ad.grad_check(f, learnable, eps=eps)
     return GradcheckReport(max_rel_error=result.max_rel_error,

@@ -341,3 +341,82 @@ class TestGraphSemantics:
         x = ad.parameter(np.array([0.5, 1.0, 2.0]))
         ad.backward(ad.sum_all(ad.clamp_min(x, 1.0)))
         np.testing.assert_array_equal(x.grad, np.array([0.0, 0.0, 1.0]))
+
+
+def _graph_chain(x, w, gain, bias):
+    """A chain through most primitives, ending in a scalar."""
+    z = ad.layer_norm_rows(ad.gelu(ad.matmul(x, w)), gain, bias)
+    s = ad.softmax_rows(ad.scale(z, 0.5))
+    return ad.mean_all(ad.mul(ad.sigmoid(z), s))
+
+
+class TestGraphMemory:
+    def _params(self):
+        rng = np.random.default_rng(71)
+        return (ad.parameter(rng.standard_normal((2, 3, 4))),
+                ad.parameter(rng.standard_normal((4, 5))),
+                ad.parameter(rng.standard_normal(5)),
+                ad.parameter(rng.standard_normal(5)))
+
+    def test_no_grad_outputs_keep_no_graph_and_the_same_bits(self):
+        params = self._params()
+        built = _graph_chain(*params)
+        with ad.no_grad():
+            bare = _graph_chain(*params)
+            mid = ad.gelu(params[0])
+        assert built.requires_grad and built._parents
+        for t in (bare, mid):
+            assert not t.requires_grad
+            assert t._parents == () and t._backward is None
+        assert bare.data.tobytes() == built.data.tobytes()
+
+    def test_no_grad_nests_and_is_restored_after_an_exception(self):
+        x = ad.parameter(np.ones(3))
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not ad.gelu(x).requires_grad
+            assert not ad.gelu(x).requires_grad
+        assert ad.gelu(x).requires_grad
+        with pytest.raises(KeyError):
+            with ad.no_grad():
+                raise KeyError("inside")
+        assert ad.gelu(x).requires_grad
+
+    def test_backward_frees_the_graph_and_keeps_held_grads(self):
+        x, w, gain, bias = self._params()
+        hidden = ad.gelu(ad.matmul(x, w))
+        loss = ad.mean_all(ad.mul(ad.layer_norm_rows(hidden, gain, bias), hidden))
+        ad.backward(loss)
+        assert loss._parents == () and hidden._parents == ()
+        assert hidden.grad is not None and w.grad is not None
+        w_grad = w.grad.copy()
+        with pytest.raises(ad.GraphFreedError, match="already freed"):
+            ad.backward(loss)
+        # a new loss built on a freed node fails before depositing anything
+        with pytest.raises(ad.GraphFreedError):
+            ad.backward(ad.add(ad.sum_all(hidden), ad.sum_all(w)))
+        assert w.grad.tobytes() == w_grad.tobytes()
+
+    def test_inner_sum_value_and_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(29)
+        vals = [rng.standard_normal((3, 4)), rng.standard_normal(5)]
+        ws = [rng.standard_normal((3, 4)), rng.standard_normal(5)]
+        xs = [ad.parameter(v.copy()) for v in vals]
+        out = ad.inner_sum(xs, ws)
+        assert out.shape == ()
+        np.testing.assert_allclose(
+            out.data, sum((v * w).sum() for v, w in zip(vals, ws)), rtol=1e-14)
+        g = rng.standard_normal(5)
+        ad.backward(ad.sum_all(ad.mul(ad.gelu(ad.scale(ad.broadcast_batch(out, 5), 0.3)),
+                                      ad.constant(g))))
+
+        def value(i, arr):
+            parts = [ad.constant(arr if j == i else v) for j, v in enumerate(vals)]
+            s = ad.inner_sum(parts, ws)
+            return (ad.gelu(ad.scale(ad.broadcast_batch(s, 5), 0.3)).data * g).sum()
+
+        for i, v in enumerate(vals):
+            num = numeric_grad(lambda arr, i=i: value(i, arr), v.copy())
+            np.testing.assert_allclose(xs[i].grad, num, rtol=1e-6, atol=1e-9)
+        with pytest.raises(ad.ShapeError):
+            ad.inner_sum(xs, [ws[0], np.ones(4)])

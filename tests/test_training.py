@@ -1,7 +1,10 @@
 """Tests for the optimizer, checkpoints, and the training loop."""
 
+import errno
 import json
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from promptrefine.data import (
     FileVersionError,
     GeneratorConfig,
     generate_synthetic_lt,
+    save_embeddings,
     save_features,
 )
 from promptrefine.model import ModelDims, forward_batch
@@ -148,6 +152,26 @@ class TestTrainConfig:
             tiny_config(embedding={"mode": "glove"})
 
 
+def checkpoint_meta(**over):
+    """Checkpoint metadata for two classes that load_checkpoint accepts,
+    with the given keys replaced."""
+    meta = {"config": tiny_config().to_dict(), "epoch": 0, "history": [],
+            "adam": {"t": 0, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+            "class_names": ["a", "b"], "groups": ["head", "tail"],
+            "class_counts": [150, 3]}
+    meta.update(over)
+    return meta
+
+
+def write_checkpoint_file(p, record: bytes, meta):
+    """A CPRC file holding at most one record and the given metadata."""
+    raw = json.dumps(meta).encode("utf-8")
+    p.write_bytes(b"CPRC" + (1).to_bytes(4, "little")
+                  + (1 if record else 0).to_bytes(4, "little") + record
+                  + len(raw).to_bytes(4, "little") + raw)
+    return p
+
+
 class TestCheckpointRoundTrip:
     def _train_small(self, tmp_path, **over):
         cfg = tiny_config(**over)
@@ -209,15 +233,30 @@ class TestCheckpointRoundTrip:
         (b"", {}),
         (b"", []),
         (b"", {"config": {**tiny_config().to_dict(), "dims": {"d0": 5, "d": 8}}}),
-    ], ids=["non-utf8-name", "empty-metadata", "list-metadata", "dims-missing-keys"])
+        (b"", checkpoint_meta(class_names=5)),
+        (b"", checkpoint_meta(class_names=["a", 3])),
+        (b"", checkpoint_meta(groups=["head", "huge"])),
+        (b"", checkpoint_meta(groups=["head"])),
+        (b"", checkpoint_meta(class_counts=[3, -1])),
+        (b"", checkpoint_meta(class_counts=[3, 1.5])),
+        (b"", checkpoint_meta(class_counts=[True, 3])),
+        (b"", checkpoint_meta(class_counts=[3])),
+        (b"", checkpoint_meta(history={"epoch": 0})),
+        (b"", checkpoint_meta(history=[1])),
+    ], ids=["non-utf8-name", "empty-metadata", "list-metadata", "dims-missing-keys",
+            "class-names-int", "class-name-not-str", "group-unknown-tag",
+            "groups-short", "count-negative", "count-float", "count-bool",
+            "counts-short", "history-dict", "history-entry-int"])
     def test_malformed_checkpoint_is_a_format_error(self, tmp_path, record, meta):
-        raw = json.dumps(meta).encode("utf-8")
-        p = tmp_path / "bad.cprc"
-        p.write_bytes(b"CPRC" + (1).to_bytes(4, "little")
-                      + (1 if record else 0).to_bytes(4, "little") + record
-                      + len(raw).to_bytes(4, "little") + raw)
+        p = write_checkpoint_file(tmp_path / "bad.cprc", record, meta)
         with pytest.raises(FileFormatError, match=re.escape(str(p))):
             load_checkpoint(p)
+
+    def test_valid_metadata_loads(self, tmp_path):
+        ckpt = load_checkpoint(write_checkpoint_file(tmp_path / "meta.cprc", b"",
+                                                     checkpoint_meta()))
+        assert (ckpt.class_names, ckpt.groups, ckpt.class_counts) == (
+            ["a", "b"], ["head", "tail"], [150, 3])
 
     def test_metadata_echo(self, tmp_path):
         cfg, result = self._train_small(tmp_path)
@@ -362,6 +401,79 @@ class TestUntrainedScores:
         a = score_dataset(params, test_ds, chunk=3)
         b = score_dataset(params, test_ds, chunk=100)
         assert a.tobytes() == b.tobytes()
+
+
+    def test_scoring_keeps_no_graph(self):
+        """score_dataset runs under no_grad, so its traced peak on one chunk
+        stays under half that of the same forward built with gradients."""
+        _, test_ds = tiny_data(n_max=60)
+        from promptrefine.model import init_model
+        from promptrefine.data import embedding_provider
+        emb = embedding_provider("random", c=6, m=7, seed=0,
+                                 class_names=test_ds.class_names)
+        params = init_model(tiny_config().dims, emb, seed=0)
+        assert len(test_ds) < training.EVAL_CHUNK
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fn()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        scored = traced_peak(lambda: score_dataset(params, test_ds))
+        built = traced_peak(lambda: forward_batch(test_ds.samples, params).data)
+        assert scored < 0.5 * built, (scored, built)
+
+
+class TestAtomicWrites:
+    """Each writer goes through a temp file and os.replace: a write that
+    fails part-way leaves the old file as it was and no temp file."""
+
+    @staticmethod
+    def _write_checkpoint(path):
+        cfg = tiny_config()
+        train_ds, _ = tiny_data()
+        from promptrefine.data import embedding_provider
+        from promptrefine.model import init_model
+        emb = embedding_provider("random", c=6, m=7, seed=0,
+                                 class_names=train_ds.class_names)
+        params = init_model(cfg.dims, emb, seed=0)
+        adam = Adam(params.learnable(), cfg.learning_rate)
+        save_checkpoint(path, params, adam, cfg, 0, [], train_ds.groups,
+                        train_ds.class_counts)
+
+    @staticmethod
+    def _write_features(path):
+        save_features(tiny_data()[0], path)
+
+    @staticmethod
+    def _write_embeddings(path):
+        save_embeddings(["a", "b"], np.ones((2, 3)), path)
+
+    @pytest.mark.parametrize("writer", ["_write_checkpoint", "_write_features",
+                                        "_write_embeddings"])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, writer):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old contents")
+        real_write_bytes = Path.write_bytes
+
+        def half_then_fail(self, data):
+            real_write_bytes(self, data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            getattr(self, writer)(target)
+        monkeypatch.undo()
+        assert target.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+        getattr(self, writer)(target)
+        assert target.read_bytes() != b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 class TestGradcheckEntry:
