@@ -142,38 +142,6 @@ class Tensor:
     def grad_or_zeros(self) -> np.ndarray:
         return self.grad if self.grad is not None else np.zeros_like(self.data)
 
-    def backward(self) -> None:
-        backward(self)
-
-    # Small amount of operator sugar; the module-level functions are the API.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, neg(other))
-        return add_scalar(self, -float(other))
-
-    def __rsub__(self, other):
-        return add_scalar(neg(self), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"

@@ -20,15 +20,21 @@ equal a deterministic long-tailed schedule exactly:
 Feature values are generated straight onto the float32 grid used by the
 file format, so save -> load round-trips are bit-exact.
 
-Files are little-endian.  Feature file: magic "CPRF", u32 version=1,
-u32 n_samples, u32 v, u32 d0, u32 c, c null-terminated UTF-8 class names,
-then per sample v*d0 float32 followed by c label bytes in {0,1}.
-Embedding file: magic "CPRE", u32 version=1, u32 c, u32 m, names, then
-c*m float32.
+All three file formats — features (.cprf), embeddings (.cpre) and
+checkpoints (.cprc) — are one container (``write_container`` /
+``read_container``): magic | u32 version=2 | u32 header_len | canonical
+JSON header ``{"arrays": [[name, dtype, shape], ...], "meta": {...}}`` |
+each array's little-endian bytes in header order, dtype one of ``<f8``,
+``<f4``, ``|u1``.  A format is a schema over it: features are
+``features (n, v, d0) <f4`` and ``labels (n, c) |u1``, embeddings are
+``W (c, m) <f4``, both with ``meta.class_names``; checkpoints are
+described in ``training``.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -54,13 +60,18 @@ __all__ = [
     "load_features",
     "save_embeddings",
     "load_embeddings",
+    "write_container",
+    "read_container",
     "embedding_provider",
     "class_mean_embeddings",
 ]
 
 FEATURE_MAGIC = b"CPRF"
 EMBEDDING_MAGIC = b"CPRE"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DTYPES = ("<f8", "<f4", "|u1")
+FEATURE_SCHEMA = {"features": ("<f4", 3), "labels": ("|u1", 2)}
+EMBEDDING_SCHEMA = {"W": ("<f4", 2)}
 
 
 class FileFormatError(ValueError):
@@ -287,33 +298,21 @@ class _Reader:
         self.pos += n
         return out
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def name(self) -> str:
-        end = self.blob.find(b"\x00", self.pos)
-        if end < 0:
-            raise FileTruncatedError(f"{self.path}: unterminated name at offset {self.pos}")
-        raw = self.blob[self.pos:end]
-        self.pos = end + 1
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FileFormatError(f"{self.path}: class name is not UTF-8") from exc
-
     def done(self) -> None:
         if self.pos != len(self.blob):
             raise FileFormatError(
                 f"{self.path}: {len(self.blob) - self.pos} trailing bytes after payload")
 
 
-def _check_header(r: _Reader, magic: bytes, version: int = FORMAT_VERSION) -> None:
+def _check_header(r: _Reader, magic: bytes) -> int:
+    """Check the magic and the version; return the JSON header's length."""
     got = r.take(4)
     if got != magic:
         raise FileFormatError(f"{r.path}: bad magic {got!r}, expected {magic!r}")
-    found = r.u32()
-    if found != version:
-        raise FileVersionError(f"{r.path}: unsupported version {found}")
+    version, header_len = struct.unpack("<II", r.take(8))
+    if version != FORMAT_VERSION:
+        raise FileVersionError(f"{r.path}: unsupported version {version}")
+    return header_len
 
 
 def _write_atomic(path, blob: bytes) -> None:
@@ -331,68 +330,111 @@ def _write_atomic(path, blob: bytes) -> None:
         raise
 
 
-def _encode_names(names) -> bytes:
-    out = bytearray()
-    for n in names:
-        if not n or "\x00" in n:
-            raise ValueError(f"class name {n!r} cannot be stored")
-        out += n.encode("utf-8") + b"\x00"
-    return bytes(out)
+def write_container(path, magic: bytes, arrays: dict, meta: dict) -> None:
+    """Atomically write ``arrays`` (name -> array, in dict order) and the
+    JSON-serializable ``meta``.  Refuses a dtype outside ``DTYPES`` and a
+    non-finite float, which ``read_container`` would refuse."""
+    entries = []
+    for name, a in arrays.items():
+        if a.dtype.str not in DTYPES:
+            raise ValueError(f"array {name!r} has dtype {a.dtype.str}, expected one of {DTYPES}")
+        if a.dtype.kind == "f" and not np.isfinite(a).all():
+            raise ValueError(f"array {name!r} has non-finite values")
+        entries.append([name, a.dtype.str, list(a.shape)])
+    header = json.dumps({"arrays": entries, "meta": meta}, sort_keys=True,
+                        separators=(",", ":")).encode("utf-8")
+    _write_atomic(path, b"".join([magic, struct.pack("<II", FORMAT_VERSION, len(header)),
+                                  header, *(a.tobytes() for a in arrays.values())]))
+
+
+def read_container(path, magic: bytes, schema: dict) -> tuple[dict, dict]:
+    """Read a file written by ``write_container``: ``(arrays, meta)``, the
+    arrays read-only views of the file's bytes, in file order.  ``schema``
+    maps each required name to ``(dtype, ndim)``; key ``"*"`` admits any
+    other name and ndim None any rank.  A malformed file — bad magic,
+    version, JSON or schema, an inexact byte count, a non-finite float —
+    raises ``FileFormatError`` or a subclass."""
+    r = _Reader(Path(path).read_bytes(), str(path))
+    raw = r.take(_check_header(r, magic))
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:   # UnicodeDecodeError, JSONDecodeError
+        raise FileFormatError(f"{r.path}: header is not UTF-8 JSON: {exc}") from exc
+    if not (isinstance(header, dict) and sorted(header) == ["arrays", "meta"]
+            and isinstance(header["arrays"], list) and isinstance(header["meta"], dict)):
+        raise FileFormatError(f"{r.path}: header must be an object with an 'arrays' "
+                              "list and a 'meta' object")
+    arrays = {}
+    for entry in header["arrays"]:
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+                and isinstance(entry[2], list)
+                and all(type(n) is int and n >= 0 for n in entry[2])):
+            raise FileFormatError(f"{r.path}: bad array entry {entry!r}, "
+                                  "expected [name, dtype, [dims >= 0]]")
+        name, dtype, shape = entry
+        rule = schema.get(name, schema.get("*"))
+        if rule is None or name in arrays:
+            raise FileFormatError(f"{r.path}: unexpected or repeated array {name!r}")
+        if dtype != rule[0] or rule[1] not in (None, len(shape)):
+            raise FileFormatError(f"{r.path}: array {name!r} is {dtype!r} of rank "
+                                  f"{len(shape)}, expected {rule[0]!r} of rank {rule[1]}")
+        # Python ints: the byte count of an oversize shape never wraps, so it
+        # fails take()'s bound check against the bytes left.
+        raw = r.take(np.dtype(dtype).itemsize * math.prod(shape))
+        try:
+            a = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        except ValueError as exc:   # a zero-size shape with dims numpy cannot hold
+            raise FileFormatError(f"{r.path}: array {name!r} has shape {shape}: {exc}") from exc
+        if a.dtype.kind == "f" and not np.isfinite(a).all():
+            raise FileFormatError(f"{r.path}: array {name!r} has non-finite values")
+        arrays[name] = a
+    r.done()
+    missing = sorted(set(schema) - set(arrays) - {"*"})
+    if missing:
+        raise FileFormatError(f"{r.path}: missing arrays {missing}")
+    return arrays, header["meta"]
+
+
+def _class_names(path, meta: dict, c: int) -> list:
+    names = meta.get("class_names")
+    if not (isinstance(names, list) and len(names) == c
+            and all(isinstance(n, str) for n in names)):
+        raise FileFormatError(f"{path}: meta.class_names must be {c} strings, got {names!r}")
+    return names
 
 
 def save_features(dataset: LongTailDataset, path) -> None:
-    v, d0 = dataset.samples[0].features.shape
-    blob = bytearray()
-    blob += FEATURE_MAGIC
-    blob += struct.pack("<IIIII", FORMAT_VERSION, len(dataset.samples), v, d0, dataset.c)
-    blob += _encode_names(dataset.class_names)
-    for s in dataset.samples:
-        if s.features.shape != (v, d0):
-            raise ValueError(f"inconsistent feature shape {s.features.shape}")
-        blob += s.features.astype("<f4").tobytes()
-        blob += s.labels.astype(np.uint8).tobytes()
-    _write_atomic(path, bytes(blob))
+    write_container(path, FEATURE_MAGIC, {
+        "features": np.stack([s.features for s in dataset.samples]).astype("<f4"),
+        "labels": np.stack([s.labels for s in dataset.samples]).astype("|u1"),
+    }, {"class_names": list(dataset.class_names)})
 
 
 def load_features(path) -> LongTailDataset:
-    r = _Reader(Path(path).read_bytes(), str(path))
-    _check_header(r, FEATURE_MAGIC)
-    n_samples, v, d0, c = r.u32(), r.u32(), r.u32(), r.u32()
-    names = [r.name() for _ in range(c)]
-    samples = []
-    for _ in range(n_samples):
-        feats = np.frombuffer(r.take(4 * v * d0), dtype="<f4").astype(np.float64)
-        labels = np.frombuffer(r.take(c), dtype=np.uint8).copy()
-        if not np.isin(labels, (0, 1)).all():
-            raise FileFormatError(f"{r.path}: label byte outside {{0, 1}}")
-        try:
-            samples.append(Sample(feats.reshape(v, d0), labels))
-        except ValueError as exc:
-            raise FileFormatError(f"{r.path}: {exc}") from exc
-    r.done()
-    return LongTailDataset(samples, names)
+    arrays, meta = read_container(path, FEATURE_MAGIC, FEATURE_SCHEMA)
+    features, labels = arrays["features"], arrays["labels"]
+    names = _class_names(path, meta, labels.shape[1])
+    if len(features) != len(labels):
+        raise FileFormatError(f"{path}: {len(features)} feature rows, {len(labels)} label rows")
+    try:
+        return LongTailDataset([Sample(f, y) for f, y in
+                                zip(features.astype(np.float64), labels.copy())], names)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def save_embeddings(class_names, W: np.ndarray, path) -> None:
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] != len(class_names):
         raise ValueError(f"embedding matrix {W.shape} does not match {len(class_names)} names")
-    blob = bytearray()
-    blob += EMBEDDING_MAGIC
-    blob += struct.pack("<III", FORMAT_VERSION, W.shape[0], W.shape[1])
-    blob += _encode_names(class_names)
-    blob += W.astype("<f4").tobytes()
-    _write_atomic(path, bytes(blob))
+    write_container(path, EMBEDDING_MAGIC, {"W": W.astype("<f4")},
+                    {"class_names": list(class_names)})
 
 
 def load_embeddings(path) -> tuple[list, np.ndarray]:
-    r = _Reader(Path(path).read_bytes(), str(path))
-    _check_header(r, EMBEDDING_MAGIC)
-    c, m = r.u32(), r.u32()
-    names = [r.name() for _ in range(c)]
-    W = np.frombuffer(r.take(4 * c * m), dtype="<f4").astype(np.float64).reshape(c, m)
-    r.done()
-    return names, W
+    arrays, meta = read_container(path, EMBEDDING_MAGIC, EMBEDDING_SCHEMA)
+    W = arrays["W"]
+    return _class_names(path, meta, W.shape[0]), W.astype(np.float64)
 
 
 def embedding_provider(mode: str, path=None, c: int | None = None,

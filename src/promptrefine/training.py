@@ -7,22 +7,20 @@ raw float64, and the checkpoint metadata is canonical JSON.  Running the
 same config twice, or interrupting and resuming, reproduces the metric
 history and the final checkpoint byte for byte.
 
-Checkpoint file ("CPRC", little-endian):
-magic | u32 version=1 | u32 n_records | records | u32 meta_len | meta JSON.
-Each record is u32 name_len | name UTF-8 | u32 ndim | ndim x u32 dims |
-float64 payload.  Records hold every model tensor (the frozen embedding
-included) plus Adam first/second moments under "adam.m.<name>" /
-"adam.v.<name>".  The metadata echoes the training config, epoch, metric
-history, Adam scalars, class names, head/medium/tail groups, and the
-training class counts.
+A checkpoint ("CPRC") is a schema over ``data``'s one container: every
+model tensor (the frozen embedding included) plus the Adam first/second
+moments under "adam.m.<name>" / "adam.v.<name>", each a ``<f8`` array,
+in sorted name order.  The container's metadata echoes the training
+config, epoch, metric history, Adam scalars, class names,
+head/medium/tail groups, the training class counts, and ``data_sha256``,
+a fingerprint of the training features and labels that ``resume_from``
+must match.
 """
 
 from __future__ import annotations
 
-import json
+import hashlib
 import logging
-import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,12 +31,11 @@ from .autodiff import NonFiniteError, Tensor
 from .data import (
     FileFormatError,
     LongTailDataset,
-    _check_header,
-    _Reader,
-    _write_atomic,
     embedding_provider,
     load_features,
+    read_container,
     split_groups,
+    write_container,
 )
 from .losses import LOSS_NAMES, get_loss
 from .metrics import GROUP_ORDER, EvalReport, map_report
@@ -71,7 +68,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"CPRC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_SCHEMA = {"*": ("<f8", None)}
 EVAL_CHUNK = 256
 GRADCHECK_MAX_ENTRIES = 20_000
 
@@ -204,20 +201,19 @@ class Checkpoint:
     class_names: list
     groups: list
     class_counts: list
+    data_sha256: str         # fingerprint of the training data, see _data_sha256
 
 
-def _pack_record(name: str, arr: np.ndarray) -> bytes:
-    raw = name.encode("utf-8")
-    out = struct.pack("<I", len(raw)) + raw
-    out += struct.pack("<I", arr.ndim)
-    out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    out += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return out
+def _data_sha256(ds: LongTailDataset) -> str:
+    """sha256 of the features (float64) and labels (uint8) bytes, in sample order."""
+    h = hashlib.sha256(np.stack([s.features for s in ds.samples]).tobytes())
+    h.update(np.stack([s.labels for s in ds.samples]).tobytes())
+    return h.hexdigest()
 
 
 def save_checkpoint(path, params: ModelParams, adam: Adam, cfg: TrainConfig,
                     epoch: int, history: list, groups: list,
-                    class_counts) -> None:
+                    class_counts, data_sha256: str) -> None:
     tensors = {name: p.data for name, p in params.all_tensors().items()}
     for name in adam.m:
         tensors[f"adam.m.{name}"] = adam.m[name]
@@ -232,17 +228,11 @@ def save_checkpoint(path, params: ModelParams, adam: Adam, cfg: TrainConfig,
         "class_names": list(params.embedding.class_names),
         "groups": list(groups),
         "class_counts": [int(n) for n in class_counts],
+        "data_sha256": data_sha256,
     }
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<II", CHECKPOINT_VERSION, len(tensors))
-    for name in sorted(tensors):
-        blob += _pack_record(name, tensors[name])
-    blob += struct.pack("<I", len(meta_bytes))
-    blob += meta_bytes
-    _write_atomic(path, bytes(blob))
+    write_container(path, CHECKPOINT_MAGIC,
+                    {name: np.asarray(tensors[name], dtype="<f8") for name in sorted(tensors)},
+                    meta)
 
 
 def _check_metadata(meta: dict) -> None:
@@ -264,23 +254,16 @@ def _check_metadata(meta: dict) -> None:
     history = meta["history"]
     if not (isinstance(history, list) and all(isinstance(h, dict) for h in history)):
         raise TypeError(f"history must be a list of dicts, got {history!r}")
+    sha = meta["data_sha256"]
+    if not (isinstance(sha, str) and len(sha) == 64):
+        raise TypeError(f"data_sha256 must be a 64-character hex digest, got {sha!r}")
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; any malformed file raises ``FileFormatError``."""
-    r = _Reader(Path(path).read_bytes(), str(path))
-    _check_header(r, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    """Read a checkpoint; any malformed file raises ``FileFormatError``.
+    The tensors are read-only views of the file's bytes."""
+    tensors, meta = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA)
     try:
-        tensors = {}
-        for _ in range(r.u32()):
-            name = r.take(r.u32()).decode("utf-8")
-            shape = tuple(r.u32() for _ in range(r.u32()))
-            # Python ints: a product of u32 dims never wraps, so an oversize
-            # shape fails take()'s bound check against the bytes left.
-            count = math.prod(shape)
-            tensors[name] = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape).copy()
-        meta = json.loads(r.take(r.u32()).decode("utf-8"))
-        r.done()
         _check_metadata(meta)
         return Checkpoint(
             config=TrainConfig.from_dict(meta["config"]),
@@ -292,10 +275,9 @@ def load_checkpoint(path) -> Checkpoint:
             class_names=meta["class_names"],
             groups=meta["groups"],
             class_counts=meta["class_counts"],
+            data_sha256=meta["data_sha256"],
         )
-    except FileFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
 
 
@@ -371,12 +353,12 @@ class TrainResult:
     final_checkpoint: str
 
 
-def _build_embedding(cfg: TrainConfig, train_ds: LongTailDataset) -> SemanticEmbedding:
+def _build_embedding(cfg: TrainConfig, c: int, class_names=None) -> SemanticEmbedding:
     e = cfg.embedding
     return embedding_provider(
         e.get("mode", "random"), path=e.get("path"),
-        c=train_ds.c, m=e.get("m"), seed=int(e.get("seed", 0)),
-        class_names=train_ds.class_names,
+        c=c, m=e.get("m"), seed=int(e.get("seed", 0)),
+        class_names=class_names,
     )
 
 
@@ -417,8 +399,9 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
     loss_fn = get_loss(cfg.loss["name"], cfg.loss)
     groups = split_groups(train_ds.class_counts)
     class_counts = train_ds.class_counts
+    data_sha256 = _data_sha256(train_ds)
 
-    embedding = _build_embedding(cfg, train_ds)
+    embedding = _build_embedding(cfg, train_ds.c, train_ds.class_names)
     params = init_model(cfg.dims, embedding, seed=cfg.seed,
                         literal_equations=cfg.literal_equations)
     adam = Adam(params.learnable(), cfg.learning_rate, cfg.weight_decay)
@@ -430,6 +413,9 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
         if ckpt.config.to_dict() != cfg.to_dict():
             raise CheckpointMismatchError(
                 f"{resume_from}: checkpoint was trained with a different config")
+        if ckpt.data_sha256 != data_sha256:
+            raise CheckpointMismatchError(
+                f"{resume_from}: checkpoint was trained on different training data")
         params = rebuild_model(ckpt)
         adam = Adam(params.learnable(), cfg.learning_rate, cfg.weight_decay)
         _restore_adam(adam, ckpt)
@@ -454,13 +440,14 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
         log.info("epoch %d: loss %.5f, mAP %.4f", epoch,
                  history[-1]["train_loss"], report.map_total or float("nan"))
         save_checkpoint(out_dir / f"checkpoint_epoch_{epoch:03d}.cprc",
-                        params, adam, cfg, epoch, history, groups, class_counts)
+                        params, adam, cfg, epoch, history, groups, class_counts,
+                        data_sha256)
 
     if report is None:   # resume_from already covered every epoch
         report = map_report(score_dataset(params, test_ds), test_labels, groups)
     final_path = out_dir / "checkpoint_final.cprc"
     save_checkpoint(final_path, params, adam, cfg, cfg.epochs - 1, history,
-                    groups, class_counts)
+                    groups, class_counts, data_sha256)
     return TrainResult(params=params, history=history, final_report=report,
                        final_checkpoint=str(final_path))
 
@@ -525,10 +512,7 @@ def run_gradcheck(cfg: TrainConfig, eps: float = 1e-5,
     """
     dims = cfg.dims
     rng = np.random.default_rng(cfg.seed)
-    e = cfg.embedding
-    embedding = embedding_provider(
-        e.get("mode", "random"), path=e.get("path"),
-        c=dims.c, m=e.get("m"), seed=int(e.get("seed", 0)))
+    embedding = _build_embedding(cfg, dims.c)
     params = init_model(dims, embedding, seed=cfg.seed,
                         literal_equations=cfg.literal_equations)
 

@@ -158,17 +158,19 @@ def checkpoint_meta(**over):
     meta = {"config": tiny_config().to_dict(), "epoch": 0, "history": [],
             "adam": {"t": 0, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
             "class_names": ["a", "b"], "groups": ["head", "tail"],
-            "class_counts": [150, 3]}
+            "class_counts": [150, 3], "data_sha256": "0" * 64}
     meta.update(over)
     return meta
 
 
-def write_checkpoint_file(p, record: bytes, meta):
-    """A CPRC file holding at most one record and the given metadata."""
-    raw = json.dumps(meta).encode("utf-8")
-    p.write_bytes(b"CPRC" + (1).to_bytes(4, "little")
-                  + (1 if record else 0).to_bytes(4, "little") + record
-                  + len(raw).to_bytes(4, "little") + raw)
+def write_checkpoint_file(p, meta, arrays=(), payload=b"", header=None):
+    """A version-2 CPRC container built byte by byte, not through
+    data.write_container: header entries ``arrays``, the given metadata,
+    then ``payload``.  ``header`` replaces the JSON header's bytes."""
+    if header is None:
+        header = json.dumps({"arrays": list(arrays), "meta": meta}).encode("utf-8")
+    p.write_bytes(b"CPRC" + (2).to_bytes(4, "little") + len(header).to_bytes(4, "little")
+                  + header + payload)
     return p
 
 
@@ -198,7 +200,7 @@ class TestCheckpointRoundTrip:
         _restore_adam(adam, ckpt)
         dst = tmp_path / "again.cprc"
         save_checkpoint(dst, params, adam, ckpt.config, ckpt.epoch,
-                        ckpt.history, ckpt.groups, ckpt.class_counts)
+                        ckpt.history, ckpt.groups, ckpt.class_counts, ckpt.data_sha256)
         with open(src, "rb") as fh:
             original = fh.read()
         assert dst.read_bytes() == original
@@ -218,42 +220,46 @@ class TestCheckpointRoundTrip:
             load_checkpoint(p)
 
     def test_oversize_shape_is_a_format_error(self, tmp_path):
-        """u32 dims whose product overflows 64 bits must not wrap to a
-        small or negative byte count."""
-        record = (len(b"x").to_bytes(4, "little") + b"x" + (2).to_bytes(4, "little")
-                  + (2**32 - 1).to_bytes(4, "little") * 2 + bytes(16))
-        p = tmp_path / "huge.cprc"
-        p.write_bytes(b"CPRC" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little")
-                      + record)
-        with pytest.raises(FileFormatError):
+        """Dims whose product overflows 64 bits must not wrap to a small or
+        negative byte count."""
+        p = write_checkpoint_file(tmp_path / "huge.cprc", checkpoint_meta(),
+                                  arrays=[["x", "<f8", [2**32 - 1, 2**32 - 1]]],
+                                  payload=bytes(16))
+        with pytest.raises(FileTruncatedError, match=f"needed {8 * (2**32 - 1) ** 2} bytes"):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("record, meta", [
-        ((1).to_bytes(4, "little") + b"\xff" + (0).to_bytes(4, "little") + bytes(8), {}),
-        (b"", {}),
-        (b"", []),
-        (b"", {"config": {**tiny_config().to_dict(), "dims": {"d0": 5, "d": 8}}}),
-        (b"", checkpoint_meta(class_names=5)),
-        (b"", checkpoint_meta(class_names=["a", 3])),
-        (b"", checkpoint_meta(groups=["head", "huge"])),
-        (b"", checkpoint_meta(groups=["head"])),
-        (b"", checkpoint_meta(class_counts=[3, -1])),
-        (b"", checkpoint_meta(class_counts=[3, 1.5])),
-        (b"", checkpoint_meta(class_counts=[True, 3])),
-        (b"", checkpoint_meta(class_counts=[3])),
-        (b"", checkpoint_meta(history={"epoch": 0})),
-        (b"", checkpoint_meta(history=[1])),
+    @pytest.mark.parametrize("header, meta, message", [
+        (b'{"arrays":[["\xff","<f8",[1]]],"meta":{}}', None, "header is not UTF-8 JSON"),
+        (None, {}, "KeyError('class_names')"),
+        (None, [], "'meta' object"),
+        (None, {"config": {**tiny_config().to_dict(), "dims": {"d0": 5, "d": 8}},
+                **{k: v for k, v in checkpoint_meta().items() if k != "config"}},
+         "KeyError('v')"),
+        (None, checkpoint_meta(class_names=5), "class_names must be a list of str"),
+        (None, checkpoint_meta(class_names=["a", 3]), "class_names must be a list of str"),
+        (None, checkpoint_meta(groups=["head", "huge"]), "groups must be 2 tags"),
+        (None, checkpoint_meta(groups=["head"]), "groups must be 2 tags"),
+        (None, checkpoint_meta(class_counts=[3, -1]), "class_counts must be 2 ints"),
+        (None, checkpoint_meta(class_counts=[3, 1.5]), "class_counts must be 2 ints"),
+        (None, checkpoint_meta(class_counts=[True, 3]), "class_counts must be 2 ints"),
+        (None, checkpoint_meta(class_counts=[3]), "class_counts must be 2 ints"),
+        (None, checkpoint_meta(history={"epoch": 0}), "history must be a list of dicts"),
+        (None, checkpoint_meta(history=[1]), "history must be a list of dicts"),
+        (None, checkpoint_meta(data_sha256=5), "data_sha256 must be a 64-character"),
+        (None, checkpoint_meta(data_sha256="abc"), "data_sha256 must be a 64-character"),
     ], ids=["non-utf8-name", "empty-metadata", "list-metadata", "dims-missing-keys",
             "class-names-int", "class-name-not-str", "group-unknown-tag",
             "groups-short", "count-negative", "count-float", "count-bool",
-            "counts-short", "history-dict", "history-entry-int"])
-    def test_malformed_checkpoint_is_a_format_error(self, tmp_path, record, meta):
-        p = write_checkpoint_file(tmp_path / "bad.cprc", record, meta)
-        with pytest.raises(FileFormatError, match=re.escape(str(p))):
+            "counts-short", "history-dict", "history-entry-int", "sha-int",
+            "sha-short"])
+    def test_malformed_checkpoint_is_a_format_error(self, tmp_path, header, meta, message):
+        p = write_checkpoint_file(tmp_path / "bad.cprc", meta, header=header)
+        with pytest.raises(FileFormatError, match=re.escape(str(p))) as info:
             load_checkpoint(p)
+        assert message in str(info.value)
 
     def test_valid_metadata_loads(self, tmp_path):
-        ckpt = load_checkpoint(write_checkpoint_file(tmp_path / "meta.cprc", b"",
+        ckpt = load_checkpoint(write_checkpoint_file(tmp_path / "meta.cprc",
                                                      checkpoint_meta()))
         assert (ckpt.class_names, ckpt.groups, ckpt.class_counts) == (
             ["a", "b"], ["head", "tail"], [150, 3])
@@ -321,6 +327,15 @@ class TestTrainingLoop:
         with pytest.raises(CheckpointMismatchError, match="different config"):
             train_on_datasets(other, train_ds, test_ds, tmp_path / "run2",
                               resume_from=r.final_checkpoint)
+
+    def test_resume_rejects_different_training_data(self, tmp_path):
+        cfg = tiny_config(epochs=3)
+        train_ds, test_ds = tiny_data()
+        other_train, _ = tiny_data(seed=1)
+        train_on_datasets(cfg, train_ds, test_ds, tmp_path / "run")
+        with pytest.raises(CheckpointMismatchError, match="different training data"):
+            train_on_datasets(cfg, other_train, test_ds, tmp_path / "run2",
+                              resume_from=tmp_path / "run" / "checkpoint_epoch_000.cprc")
 
     def test_history_metrics_present_and_finite(self, tmp_path):
         cfg = tiny_config()
@@ -443,7 +458,7 @@ class TestAtomicWrites:
         params = init_model(cfg.dims, emb, seed=0)
         adam = Adam(params.learnable(), cfg.learning_rate)
         save_checkpoint(path, params, adam, cfg, 0, [], train_ds.groups,
-                        train_ds.class_counts)
+                        train_ds.class_counts, "0" * 64)
 
     @staticmethod
     def _write_features(path):
