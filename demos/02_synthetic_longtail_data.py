@@ -73,10 +73,8 @@ with tempfile.TemporaryDirectory() as tmp:
     save_features(train_ds, path)
     size = path.stat().st_size
     back = load_features(path)
-    same = all(
-        a.features.tobytes() == b.features.tobytes()
-        and (a.labels == b.labels).all()
-        for a, b in zip(train_ds.samples, back.samples))
+    same = (train_ds.features.tobytes() == back.features.tobytes()
+            and train_ds.labels.tobytes() == back.labels.tobytes())
     print(f"wrote {size} bytes; features and labels identical after reload: {same}")
 
     # Truncation is detected, not silently padded.

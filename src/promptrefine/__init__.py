@@ -6,8 +6,9 @@ per-class query prompts from semantic embeddings and refines them against
 visual features through a transformer interaction
 (:mod:`promptrefine.model`), the asymmetric loss with focal and BCE as
 presets (:mod:`promptrefine.losses`), non-interpolated mAP evaluation
-grouped by class frequency (:mod:`promptrefine.metrics`), a synthetic
-long-tailed dataset generator with binary file formats
+grouped by class frequency (:mod:`promptrefine.metrics`), the dataset
+as two arrays (features and multi-hot labels) with a synthetic
+long-tailed generator and binary file formats
 (:mod:`promptrefine.data`), and an Adam trainer with bitwise-reproducible
 checkpoints (:mod:`promptrefine.training`).  ``promptrefine.baseline``
 holds the mean-pooled linear reference model, trained by the same epoch
@@ -20,7 +21,6 @@ from .baseline import init_baseline, train_baseline
 from .data import (
     GeneratorConfig,
     LongTailDataset,
-    Sample,
     class_mean_embeddings,
     embedding_provider,
     generate_synthetic_lt,
@@ -53,7 +53,6 @@ __all__ = [
     "train_baseline",
     "GeneratorConfig",
     "LongTailDataset",
-    "Sample",
     "class_mean_embeddings",
     "embedding_provider",
     "generate_synthetic_lt",

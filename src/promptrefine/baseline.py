@@ -44,12 +44,13 @@ def init_baseline(d0: int, c: int, seed: int) -> BaselineParams:
     )
 
 
-def baseline_forward_batch(samples, params: BaselineParams) -> Tensor:
-    """Sigmoid scores (len(samples), c) from mean-pooled tokens."""
-    pooled = np.stack([
-        np.asarray(s.features if hasattr(s, "features") else s).mean(axis=0)
-        for s in samples
-    ])
+def baseline_forward_batch(features, params: BaselineParams) -> Tensor:
+    """Sigmoid scores (B, c) for a (B, v, d0) feature array, pooled by
+    the mean over its v tokens."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 3:
+        raise ad.ShapeError(f"features must be (B, v, d0), got {features.shape}")
+    pooled = features.mean(axis=1)
     logits = ad.add_rowvec(ad.matmul(ad.constant(pooled), params.w), params.b)
     return ad.sigmoid(logits)
 
@@ -57,7 +58,7 @@ def baseline_forward_batch(samples, params: BaselineParams) -> Tensor:
 def score_baseline(params: BaselineParams, dataset: LongTailDataset) -> np.ndarray:
     """Probability matrix (n, c), scored under ``no_grad``."""
     with ad.no_grad():
-        return baseline_forward_batch(dataset.samples, params).data
+        return baseline_forward_batch(dataset.features, params).data
 
 
 def train_baseline(train_ds: LongTailDataset, test_ds: LongTailDataset,
@@ -68,8 +69,7 @@ def train_baseline(train_ds: LongTailDataset, test_ds: LongTailDataset,
     """Identical training protocol to the prompt model: Adam, the same loss
     family, the same epoch loop.  Returns the trained parameters and the
     final test report grouped by the training-set counts."""
-    d0 = train_ds.samples[0].features.shape[1]
-    params = init_baseline(d0, train_ds.c, seed)
+    params = init_baseline(train_ds.features.shape[2], train_ds.c, seed)
     adam = Adam(params.learnable(), learning_rate, weight_decay)
     loss_fn = get_loss(loss_name, loss_cfg)
     groups = split_groups(train_ds.class_counts)

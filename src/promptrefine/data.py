@@ -1,5 +1,9 @@
 """Synthetic long-tailed multi-label data and the binary file formats.
 
+A dataset (``LongTailDataset``) is two arrays: ``features`` (n, v, d0)
+float64 and ``labels`` (n, c) uint8, checked once when it is built.
+A batch is a fancy index into both, ``features[idx]`` and ``labels[idx]``.
+
 The generator builds a dataset whose *realized* per-class positive counts
 equal a deterministic long-tailed schedule exactly:
 
@@ -37,7 +41,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +55,6 @@ __all__ = [
     "FileTruncatedError",
     "EmbeddingMismatchError",
     "GeneratorConfig",
-    "Sample",
     "LongTailDataset",
     "count_schedule",
     "split_groups",
@@ -94,47 +97,41 @@ class EmbeddingMismatchError(ValueError):
 # dataset model
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Sample:
-    """One instance: (v, d0) feature tokens and a (c,) multi-hot label."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-d, got shape {self.features.shape}")
-        if self.labels.ndim != 1:
-            raise ValueError(f"labels must be a vector, got shape {self.labels.shape}")
-        if not np.isfinite(self.features).all():
-            raise ValueError("features contain non-finite values")
-        if not np.isin(self.labels, (0, 1)).all():
-            raise ValueError("labels must be binary")
-        if self.labels.sum() == 0:
-            raise ValueError("every sample needs at least one positive label")
-
-
-@dataclass
 class LongTailDataset:
-    """Samples plus class names; counts and groups are derived."""
+    """Two arrays plus class names: ``features`` (n, v, d0) float64 and
+    ``labels`` (n, c) uint8, sample i being row i of each.  Both are
+    checked once, here: features 3-d and finite, labels binary with c
+    columns and at least one positive per row, n >= 1, and the class names
+    non-empty and free of NUL.  Counts and groups are derived."""
 
-    samples: list
-    class_names: list
-
-    def __post_init__(self):
-        c = len(self.class_names)
-        for s in self.samples:
-            if s.labels.shape != (c,):
-                raise ValueError(
-                    f"sample has {s.labels.shape[0]} label slots for {c} classes")
-        for name in self.class_names:
+    def __init__(self, features, labels, class_names):
+        features = np.asarray(features, dtype=np.float64)
+        labels = np.asarray(labels)
+        class_names = list(class_names)
+        if features.ndim != 3:
+            raise ValueError(f"features must be (n, v, d0), got shape {features.shape}")
+        if labels.ndim != 2 or labels.shape[1] != len(class_names):
+            raise ValueError(f"labels must be (n, {len(class_names)}) for "
+                             f"{len(class_names)} classes, got shape {labels.shape}")
+        if len(features) == 0:
+            raise ValueError("dataset has no samples")
+        if len(labels) != len(features):
+            raise ValueError(f"{len(features)} feature rows, {len(labels)} label rows")
+        if not np.isfinite(features).all():
+            raise ValueError("features contain non-finite values")
+        if not ((labels == 0) | (labels == 1)).all():
+            raise ValueError("labels must be binary")
+        if not labels.any(axis=1).all():
+            raise ValueError("every sample needs at least one positive label")
+        for name in class_names:
             if not name or "\x00" in name:
                 raise ValueError(f"bad class name {name!r}")
+        self.features = features
+        self.labels = labels.astype(np.uint8, copy=False)
+        self.class_names = class_names
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.features)
 
     @property
     def c(self) -> int:
@@ -143,17 +140,14 @@ class LongTailDataset:
     @property
     def class_counts(self) -> np.ndarray:
         """Positives per class, recomputed from the labels."""
-        counts = np.zeros(self.c, dtype=np.int64)
-        for s in self.samples:
-            counts += s.labels
-        return counts
+        return self.labels.sum(axis=0, dtype=np.int64)
 
     @property
     def groups(self) -> list:
         return split_groups(self.class_counts)
 
     def labels_matrix(self) -> np.ndarray:
-        return np.stack([s.labels for s in self.samples]).astype(np.int64)
+        return self.labels.astype(np.int64)
 
 
 def split_groups(class_counts, head_min: int = 100, tail_max: int = 20) -> list:
@@ -254,27 +248,23 @@ def generate_synthetic_lt(cfg: GeneratorConfig) -> tuple[LongTailDataset, LongTa
         chosen = rng.choice(eligible, size=int(quota[j]), replace=False, p=w / w.sum())
         labels[chosen, j] = 1
 
-    train_samples = []
+    features = np.empty((n_train, cfg.v, cfg.d0))
     for i in range(n_train):
-        positives = np.flatnonzero(labels[i])
-        order = rng.permutation(positives)
-        feats = np.empty((cfg.v, cfg.d0))
-        for slot in range(cfg.v):
-            proto = prototypes[order[slot % order.size]]
-            feats[slot] = proto + cfg.noise_sigma * rng.standard_normal(cfg.d0)
-        train_samples.append(Sample(_snap_to_storage_grid(feats), labels[i]))
+        order = rng.permutation(np.flatnonzero(labels[i]))
+        slots = order[np.arange(cfg.v) % order.size]
+        noise = rng.standard_normal((cfg.v, cfg.d0))
+        features[i] = prototypes[slots] + cfg.noise_sigma * noise
 
-    test_samples = []
+    tpc = cfg.test_per_class
+    test_features = np.empty((cfg.c * tpc, cfg.v, cfg.d0))
     for j in range(cfg.c):
-        one_hot = np.zeros(cfg.c, dtype=np.uint8)
-        one_hot[j] = 1
-        for _ in range(cfg.test_per_class):
-            feats = prototypes[j] + cfg.noise_sigma * rng.standard_normal((cfg.v, cfg.d0))
-            test_samples.append(Sample(_snap_to_storage_grid(feats), one_hot.copy()))
+        test_features[j * tpc:(j + 1) * tpc] = \
+            prototypes[j] + cfg.noise_sigma * rng.standard_normal((tpc, cfg.v, cfg.d0))
+    test_labels = np.repeat(np.eye(cfg.c, dtype=np.uint8), tpc, axis=0)
 
     names = [f"class_{i:03d}" for i in range(cfg.c)]
-    return (LongTailDataset(train_samples, names),
-            LongTailDataset(test_samples, list(names)))
+    return (LongTailDataset(_snap_to_storage_grid(features), labels, names),
+            LongTailDataset(_snap_to_storage_grid(test_features), test_labels, names))
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +394,17 @@ def _class_names(path, meta: dict, c: int) -> list:
 
 
 def save_features(dataset: LongTailDataset, path) -> None:
-    write_container(path, FEATURE_MAGIC, {
-        "features": np.stack([s.features for s in dataset.samples]).astype("<f4"),
-        "labels": np.stack([s.labels for s in dataset.samples]).astype("|u1"),
-    }, {"class_names": list(dataset.class_names)})
+    write_container(path, FEATURE_MAGIC, {"features": dataset.features.astype("<f4"),
+                                          "labels": dataset.labels},
+                    {"class_names": list(dataset.class_names)})
 
 
 def load_features(path) -> LongTailDataset:
     arrays, meta = read_container(path, FEATURE_MAGIC, FEATURE_SCHEMA)
     features, labels = arrays["features"], arrays["labels"]
     names = _class_names(path, meta, labels.shape[1])
-    if len(features) != len(labels):
-        raise FileFormatError(f"{path}: {len(features)} feature rows, {len(labels)} label rows")
     try:
-        return LongTailDataset([Sample(f, y) for f, y in
-                                zip(features.astype(np.float64), labels.copy())], names)
+        return LongTailDataset(features.astype(np.float64), labels.copy(), names)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -473,16 +459,13 @@ def embedding_provider(mode: str, path=None, c: int | None = None,
 
 def class_mean_embeddings(dataset: LongTailDataset) -> np.ndarray:
     """Per-class mean of the mean token of each positive sample — a cheap
-    'informative' embedding derived from the data alone (c, d0)."""
-    c = dataset.c
-    d0 = dataset.samples[0].features.shape[1]
-    sums = np.zeros((c, d0))
-    n = np.zeros(c)
-    for s in dataset.samples:
-        token_mean = s.features.mean(axis=0)
-        for j in np.flatnonzero(s.labels):
-            sums[j] += token_mean
-            n[j] += 1
+    'informative' embedding derived from the data alone (c, d0).  The
+    sums add in sample order (``np.add.at`` over the positive (sample,
+    class) pairs), so the result does not depend on a BLAS."""
+    n = dataset.class_counts
     if (n == 0).any():
         raise ValueError(f"classes without positives: {np.flatnonzero(n == 0).tolist()}")
+    rows, cols = np.nonzero(dataset.labels)
+    sums = np.zeros((dataset.c, dataset.features.shape[2]))
+    np.add.at(sums, cols, dataset.features.mean(axis=1)[rows])
     return sums / n[:, None]

@@ -348,21 +348,13 @@ def classify(p_refined: Tensor, p_initial: Tensor) -> Tensor:
     return ad.sigmoid(ad.sum_rows(ad.mul(p_refined, p_initial)))
 
 
-def _as_features(sample) -> np.ndarray:
-    return sample.features if hasattr(sample, "features") else np.asarray(sample)
-
-
-def _check_features(features: np.ndarray, dims: ModelDims) -> None:
-    if features.shape != (dims.v, dims.d0):
+def _check_batch(features, dims: ModelDims) -> np.ndarray:
+    """``features`` as a float64 (B, v, d0) array, or ShapeError."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 3 or features.shape[1:] != (dims.v, dims.d0):
         raise ad.ShapeError(
-            f"features must be ({dims.v}, {dims.d0}), got {features.shape}")
-
-
-def _stack_features(samples, dims: ModelDims) -> np.ndarray:
-    features = [_as_features(sample) for sample in samples]
-    for f in features:
-        _check_features(f, dims)
-    return np.stack(features)
+            f"features must be (B, {dims.v}, {dims.d0}), got {features.shape}")
+    return features
 
 
 def _forward_stacked(features: np.ndarray, params: ModelParams) -> tuple[Tensor, PromptSet]:
@@ -381,36 +373,38 @@ def _forward_stacked(features: np.ndarray, params: ModelParams) -> tuple[Tensor,
     return classify(refined, P_batch), PromptSet(initial=P, refined=refined)
 
 
-def forward_with_prompts(sample, params: ModelParams) -> tuple[Tensor, PromptSet]:
-    """Full forward pass of one sample returning scores (c,) plus both
-    prompt sets, (c, d) each."""
-    scores, prompts = _forward_stacked(_stack_features([sample], params.dims), params)
+def forward_with_prompts(features, params: ModelParams) -> tuple[Tensor, PromptSet]:
+    """Full forward pass of one sample's (v, d0) features returning scores
+    (c,) plus both prompt sets, (c, d) each."""
+    scores, prompts = _forward_stacked(
+        _check_batch(np.asarray(features)[None], params.dims), params)
     c, d = prompts.initial.shape
     return ad.reshape(scores, (c,)), PromptSet(
         initial=prompts.initial, refined=ad.reshape(prompts.refined, (c, d)))
 
 
-def forward(sample, params: ModelParams) -> Tensor:
-    """Per-class probabilities (c,) for one sample: ``forward_batch`` of a
-    batch of one."""
-    scores = forward_batch([sample], params)
+def forward(features, params: ModelParams) -> Tensor:
+    """Per-class probabilities (c,) for one sample's (v, d0) features:
+    ``forward_batch`` of a batch of one."""
+    scores = forward_batch(np.asarray(features)[None], params)
     return ad.reshape(scores, (params.dims.c,))
 
 
-def forward_batch(samples, params: ModelParams) -> Tensor:
-    """Scores (len(samples), c) for a batch, built as one graph.
+def forward_batch(features, params: ModelParams) -> Tensor:
+    """Scores (B, c) for a (B, v, d0) feature array, built as one graph.
 
-    The samples are stacked and every stage runs on the stack, so the
-    number of graph nodes does not grow with the batch.  Each row is
-    bitwise equal to ``forward`` of that sample.
+    Every stage runs on the whole array, so the number of graph nodes
+    does not grow with the batch.  Each row is bitwise equal to
+    ``forward`` of that sample.
     """
-    scores, _ = _forward_stacked(_stack_features(samples, params.dims), params)
+    scores, _ = _forward_stacked(_check_batch(features, params.dims), params)
     return scores
 
 
-def dual_path_grads(sample, labels: np.ndarray, params: ModelParams,
+def dual_path_grads(features, labels: np.ndarray, params: ModelParams,
                     loss_fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split the loss gradient at the initial prompts into its two routes.
+    """Split the loss gradient at the initial prompts into its two routes,
+    for one sample's (v, d0) features.
 
     The prompts enter the computation twice: through the interaction
     encoder and directly as classifier weights.  Detaching one use at a
@@ -419,8 +413,7 @@ def dual_path_grads(sample, labels: np.ndarray, params: ModelParams,
 
     Returns (g_total, g_direct, g_via_interaction) as plain arrays.
     """
-    features = _as_features(sample)
-    _check_features(features, params.dims)
+    features = _check_batch(np.asarray(features)[None], params.dims)[0]
 
     def run(detach_interaction: bool, detach_classifier: bool) -> np.ndarray:
         F = project_features(ad.constant(features), params.projection)

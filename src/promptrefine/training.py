@@ -206,8 +206,8 @@ class Checkpoint:
 
 def _data_sha256(ds: LongTailDataset) -> str:
     """sha256 of the features (float64) and labels (uint8) bytes, in sample order."""
-    h = hashlib.sha256(np.stack([s.features for s in ds.samples]).tobytes())
-    h.update(np.stack([s.labels for s in ds.samples]).tobytes())
+    h = hashlib.sha256(ds.features.tobytes())
+    h.update(ds.labels.tobytes())
     return h.hexdigest()
 
 
@@ -236,8 +236,9 @@ def save_checkpoint(path, params: ModelParams, adam: Adam, cfg: TrainConfig,
 
 
 def _check_metadata(meta: dict) -> None:
-    """Type-check the class and history metadata; load_checkpoint turns
-    the TypeError or ValueError into a FileFormatError."""
+    """Type-check the class, history, epoch and Adam metadata;
+    load_checkpoint turns the TypeError or ValueError into a
+    FileFormatError."""
     names = meta["class_names"]
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise TypeError(f"class_names must be a list of str, got {names!r}")
@@ -257,6 +258,15 @@ def _check_metadata(meta: dict) -> None:
     sha = meta["data_sha256"]
     if not (isinstance(sha, str) and len(sha) == 64):
         raise TypeError(f"data_sha256 must be a 64-character hex digest, got {sha!r}")
+    epoch = meta["epoch"]
+    if not (type(epoch) is int and epoch >= 0):
+        raise ValueError(f"epoch must be an int >= 0, got {epoch!r}")
+    adam = meta["adam"]
+    if not (type(adam["t"]) is int and adam["t"] >= 0):
+        raise ValueError(f"adam.t must be an int >= 0, got {adam['t']!r}")
+    for key in ("beta1", "beta2", "eps"):
+        if type(adam[key]) not in (int, float):
+            raise TypeError(f"adam.{key} must be an int or float, got {adam[key]!r}")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -267,10 +277,10 @@ def load_checkpoint(path) -> Checkpoint:
         _check_metadata(meta)
         return Checkpoint(
             config=TrainConfig.from_dict(meta["config"]),
-            epoch=int(meta["epoch"]),
+            epoch=meta["epoch"],
             history=meta["history"],
             tensors=tensors,
-            adam_t=int(meta["adam"]["t"]),
+            adam_t=meta["adam"]["t"],
             adam_scalars={k: meta["adam"][k] for k in ("beta1", "beta2", "eps")},
             class_names=meta["class_names"],
             groups=meta["groups"],
@@ -323,7 +333,7 @@ def score_dataset(params: ModelParams, dataset: LongTailDataset,
     kept.  Chunking is a memory bound only: any chunk size gives bitwise
     identical rows."""
     with ad.no_grad():
-        rows = [forward_batch(dataset.samples[start:start + chunk], params).data
+        rows = [forward_batch(dataset.features[start:start + chunk], params).data
                 for start in range(0, len(dataset), chunk)]
     return np.concatenate(rows, axis=0)
 
@@ -365,20 +375,20 @@ def _build_embedding(cfg: TrainConfig, c: int, class_names=None) -> SemanticEmbe
 def run_epoch(train_ds: LongTailDataset, seed: int, epoch: int, batch_size: int,
               score, loss_fn, adam: Adam) -> float:
     """One pass over ``train_ds`` in the order keyed by (seed, epoch), one
-    Adam step per batch; returns the mean training loss.  ``score`` maps a
-    list of samples to their (B, c) score tensor."""
+    Adam step per batch; returns the mean training loss.  A batch is a
+    fancy index into the dataset's arrays; ``score`` maps its (B, v, d0)
+    features to the (B, c) score tensor."""
     order = np.random.default_rng([seed, epoch]).permutation(len(train_ds))
     total_loss = 0.0
     for b, start in enumerate(range(0, len(order), batch_size)):
-        batch = [train_ds.samples[i] for i in order[start:start + batch_size]]
-        labels = np.stack([s.labels for s in batch])
+        idx = order[start:start + batch_size]
         adam.zero_grad()
-        loss = loss_fn(score(batch), labels)
+        loss = loss_fn(score(train_ds.features[idx]), train_ds.labels[idx])
         if not np.isfinite(loss.data).all():
             raise NonFiniteError(f"non-finite loss at epoch {epoch} batch {b}")
         ad.backward(loss)
         adam.step()
-        total_loss += float(loss.data) * len(batch)
+        total_loss += float(loss.data) * len(idx)
     return total_loss / len(order)
 
 
@@ -389,7 +399,7 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
     one checkpoint per epoch plus ``checkpoint_final.cprc``."""
     if cfg.dims.c != train_ds.c:
         raise ValueError(f"config has {cfg.dims.c} classes, data has {train_ds.c}")
-    v, d0 = train_ds.samples[0].features.shape
+    v, d0 = train_ds.features.shape[1:]
     if (v, d0) != (cfg.dims.v, cfg.dims.d0):
         raise ValueError(f"data features are {(v, d0)}, config dims expect "
                          f"{(cfg.dims.v, cfg.dims.d0)}")
@@ -523,7 +533,7 @@ def run_gradcheck(cfg: TrainConfig, eps: float = 1e-5,
             f"model has {n_entries} parameters; gradcheck is capped at "
             f"{GRADCHECK_MAX_ENTRIES} (shrink dims for checking)")
 
-    features = [rng.standard_normal((dims.v, dims.d0)) for _ in range(batch)]
+    features = rng.standard_normal((batch, dims.v, dims.d0))
     labels = (rng.uniform(size=(batch, dims.c)) < 0.4).astype(np.uint8)
     for i in range(batch):
         if labels[i].sum() == 0:

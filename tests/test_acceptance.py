@@ -400,10 +400,8 @@ class TestDeterminismAndResume:
 
         save_features(train_ds, tmp_path / "train.cprf")
         reloaded = load_features(tmp_path / "train.cprf")
-        files_ok = all(
-            a.features.tobytes() == b.features.tobytes()
-            and (a.labels == b.labels).all()
-            for a, b in zip(train_ds.samples, reloaded.samples))
+        files_ok = (train_ds.features.tobytes() == reloaded.features.tobytes()
+                    and train_ds.labels.tobytes() == reloaded.labels.tobytes())
 
         cfg = TrainConfig(
             dims=ModelDims(d0=5, d=8, v=4, c=6, heads=2, ffn=12, tau=0.5),

@@ -1,6 +1,7 @@
 """Tests for the mean-pooled linear baseline."""
 
 import numpy as np
+import pytest
 from scipy.special import expit
 
 from promptrefine import autodiff as ad
@@ -34,13 +35,17 @@ class TestForward:
         want = expit(pooled @ params.w.data + params.b.data)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
-    def test_accepts_samples_and_raw_arrays(self):
+    def test_pools_a_fancy_indexed_batch_like_per_sample_means(self):
+        """Pooling the (B, v, d0) batch over axis 1 gives, byte for byte,
+        the stack of each sample's token mean."""
         train_ds, _ = tiny_data()
         params = init_baseline(d0=5, c=6, seed=0)
-        via_samples = baseline_forward_batch(train_ds.samples[:4], params).data
-        via_arrays = baseline_forward_batch(
-            [s.features for s in train_ds.samples[:4]], params).data
-        np.testing.assert_array_equal(via_samples, via_arrays)
+        idx = np.array([7, 0, 3, 3, 12])
+        batch = train_ds.features[idx]
+        pooled = np.stack([train_ds.features[i].mean(axis=0) for i in idx])
+        assert batch.mean(axis=1).tobytes() == pooled.tobytes()
+        with pytest.raises(ad.ShapeError, match=r"\(B, v, d0\)"):
+            baseline_forward_batch(batch[0], params)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)

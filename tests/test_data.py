@@ -1,5 +1,8 @@
 """Tests for the synthetic long-tail generator and binary file I/O."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,6 @@ from promptrefine.data import (
     FileVersionError,
     GeneratorConfig,
     LongTailDataset,
-    Sample,
     class_mean_embeddings,
     count_schedule,
     embedding_provider,
@@ -115,18 +117,16 @@ class TestGenerator:
                               co_occurrence_strength=0.3, noise_sigma=0.4)
         a_train, a_test = generate_synthetic_lt(cfg)
         b_train, b_test = generate_synthetic_lt(cfg)
-        for a, b in zip(a_train.samples + a_test.samples,
-                        b_train.samples + b_test.samples):
-            assert (a.features == b.features).all()
-            assert (a.labels == b.labels).all()
+        for a, b in ((a_train, b_train), (a_test, b_test)):
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_different_seeds_differ(self):
         cfg_a = GeneratorConfig(c=5, v=4, d0=6, n_max=30, seed=0)
         cfg_b = GeneratorConfig(c=5, v=4, d0=6, n_max=30, seed=1)
         a, _ = generate_synthetic_lt(cfg_a)
         b, _ = generate_synthetic_lt(cfg_b)
-        assert not all((x.features == y.features).all()
-                       for x, y in zip(a.samples, b.samples))
+        assert not np.array_equal(a.features, b.features)
 
     def test_balanced_test_split(self):
         cfg = GeneratorConfig(c=7, v=4, d0=5, n_max=50, seed=2, test_per_class=9)
@@ -142,9 +142,9 @@ class TestGenerator:
         # every token of a single-label sample equals its class prototype
         protos = np.random.default_rng(cfg.seed).standard_normal((cfg.c, cfg.d0))
         protos32 = protos.astype("<f4").astype(np.float64)
-        for s in train.samples:
-            j = int(np.flatnonzero(s.labels)[0])
-            np.testing.assert_array_equal(s.features, np.tile(protos32[j], (cfg.v, 1)))
+        for features, labels in zip(train.features, train.labels):
+            j = int(np.flatnonzero(labels)[0])
+            np.testing.assert_array_equal(features, np.tile(protos32[j], (cfg.v, 1)))
 
     def test_impossible_cooccurrence_is_reported(self):
         # v=1 leaves no room for any second label
@@ -166,20 +166,99 @@ class TestGenerator:
             GeneratorConfig(pareto_ramp=-0.01)
 
 
-class TestSampleValidation:
+def dataset_args(n=3, v=2, d0=3, c=4):
+    """Valid (features, labels, class_names) for LongTailDataset."""
+    labels = np.zeros((n, c), dtype=np.uint8)
+    labels[np.arange(n), np.arange(n) % c] = 1
+    return np.zeros((n, v, d0)), labels, [f"k{j}" for j in range(c)]
+
+
+def write_features_file(path, features, labels, class_names):
+    """A CPRF container built byte by byte, not through save_features, so
+    it can hold what the writer refuses (NaN, other ranks)."""
+    arrays = {"features": np.asarray(features, dtype="<f4"),
+              "labels": np.asarray(labels).astype("|u1")}
+    header = json.dumps({"arrays": [[k, a.dtype.str, list(a.shape)] for k, a in arrays.items()],
+                         "meta": {"class_names": class_names}}).encode("utf-8")
+    path.write_bytes(b"CPRF" + (2).to_bytes(4, "little") + len(header).to_bytes(4, "little")
+                     + header + b"".join(a.tobytes() for a in arrays.values()))
+
+
+def _malformed_datasets():
+    """(id, features, labels, class_names, message, load_features message).
+    The container reader refuses some cases before the dataset sees them,
+    with its own message."""
+    features, labels, names = dataset_args()
+    nan = features.copy()
+    nan[1, 0, 2] = np.nan
+    two = labels.copy()
+    two[0, 1] = 2
+    empty_row = labels.copy()
+    empty_row[2] = 0
+    return [
+        ("empty-labels", features, empty_row, names, "at least one positive", None),
+        ("nonbinary-labels", features, two, names, "labels must be binary", None),
+        ("nonfinite-features", nan, labels, names, "features contain non-finite values",
+         "array 'features' has non-finite values"),
+        ("row-mismatch", features[:2], labels, names, "2 feature rows, 3 label rows", None),
+        ("features-rank-2", features[0], labels, names, "features must be (n, v, d0)",
+         "array 'features' is '<f4' of rank 2"),
+        ("labels-rank-1", features, labels[0], names, "labels must be (n, 4)",
+         "array 'labels' is '|u1' of rank 1"),
+        ("label-width", features, labels[:, :3], names, "labels must be (n, 4)",
+         "meta.class_names must be 3 strings"),
+        ("no-samples", features[:0], labels[:0], names, "dataset has no samples", None),
+        ("nul-class-name", features, labels, ["k0", "k\x001", "k2", "k3"],
+         "bad class name", None),
+    ]
+
+
+MALFORMED = _malformed_datasets()
+
+
+class TestDatasetValidation:
+    def test_holds_two_arrays(self):
+        features, labels, names = dataset_args()
+        ds = LongTailDataset(features, labels.astype(np.int64), names)
+        assert ds.features.dtype == np.float64 and ds.features.shape == (3, 2, 3)
+        assert ds.labels.dtype == np.uint8 and ds.labels.tobytes() == labels.tobytes()
+        assert len(ds) == 3 and ds.c == 4
+        assert ds.class_counts.tolist() == [1, 1, 1, 0]
+        assert ds.labels_matrix().dtype == np.int64
+
     def test_rejects_empty_labels(self):
+        features, labels, names = dataset_args()
+        labels[1] = 0
         with pytest.raises(ValueError, match="at least one positive"):
-            Sample(np.zeros((2, 3)), np.zeros(4))
+            LongTailDataset(features, labels, names)
 
     def test_rejects_nonbinary_labels(self):
-        with pytest.raises(ValueError, match="binary"):
-            Sample(np.zeros((2, 3)), np.array([0, 2, 0, 0]))
+        features, labels, names = dataset_args()
+        for bad in (labels * 2, labels + 0.5, labels - 1):
+            with pytest.raises(ValueError, match="binary"):
+                LongTailDataset(features, bad, names)
 
     def test_rejects_nonfinite_features(self):
-        feats = np.zeros((2, 3))
-        feats[0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            Sample(feats, np.array([1, 0, 0, 0]))
+        features, labels, names = dataset_args()
+        for bad in (np.nan, np.inf):
+            features[0, 0, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                LongTailDataset(features, labels, names)
+
+    @pytest.mark.parametrize("case", MALFORMED, ids=[c[0] for c in MALFORMED])
+    def test_rejects_malformed_arrays(self, case):
+        _, features, labels, names, message, _ = case
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LongTailDataset(features, labels, names)
+
+    @pytest.mark.parametrize("case", MALFORMED, ids=[c[0] for c in MALFORMED])
+    def test_load_features_refuses_with_a_format_error(self, tmp_path, case):
+        _, features, labels, names, message, file_message = case
+        p = tmp_path / "bad.cprf"
+        write_features_file(p, features, labels, names)
+        with pytest.raises(FileFormatError, match=re.escape(str(p))) as info:
+            load_features(p)
+        assert (file_message or message) in str(info.value)
 
 
 class TestFeatureFileRoundTrip:
@@ -196,9 +275,8 @@ class TestFeatureFileRoundTrip:
         back = load_features(p)
         assert back.class_names == ds.class_names
         assert len(back) == len(ds)
-        for a, b in zip(ds.samples, back.samples):
-            assert a.features.tobytes() == b.features.tobytes()
-            assert (a.labels == b.labels).all()
+        assert ds.features.tobytes() == back.features.tobytes()
+        assert ds.labels.tobytes() == back.labels.tobytes()
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         ds = self._dataset(seed=4)
@@ -317,11 +395,24 @@ class TestClassMeanEmbeddings:
         # oracle: group samples by their single positive class by hand
         sums = np.zeros((4, 5))
         n = np.zeros(4)
-        for s in train.samples:
-            j = int(np.flatnonzero(s.labels)[0])
-            sums[j] += s.features.mean(axis=0)
+        for features, labels in zip(train.features, train.labels):
+            j = int(np.flatnonzero(labels)[0])
+            sums[j] += features.mean(axis=0)
             n[j] += 1
         np.testing.assert_allclose(E, sums / n[:, None], rtol=0, atol=0)
+
+    def test_multilabel_sums_match_a_per_sample_loop_bitwise(self):
+        cfg = GeneratorConfig(c=6, v=4, d0=5, n_max=60, seed=2,
+                              co_occurrence_strength=0.5, noise_sigma=0.3)
+        train, _ = generate_synthetic_lt(cfg)
+        assert (train.labels.sum(axis=1) > 1).any()
+        sums = np.zeros((6, 5))
+        n = np.zeros(6)
+        for features, labels in zip(train.features, train.labels):
+            for j in np.flatnonzero(labels):
+                sums[j] += features.mean(axis=0)
+                n[j] += 1
+        assert class_mean_embeddings(train).tobytes() == (sums / n[:, None]).tobytes()
 
     def test_shape(self):
         cfg = GeneratorConfig(c=6, v=4, d0=7, n_max=20, seed=1)

@@ -247,11 +247,20 @@ class TestCheckpointRoundTrip:
         (None, checkpoint_meta(history=[1]), "history must be a list of dicts"),
         (None, checkpoint_meta(data_sha256=5), "data_sha256 must be a 64-character"),
         (None, checkpoint_meta(data_sha256="abc"), "data_sha256 must be a 64-character"),
+        (None, checkpoint_meta(epoch=1.5), "epoch must be an int >= 0, got 1.5"),
+        (None, checkpoint_meta(epoch=True), "epoch must be an int >= 0, got True"),
+        (None, checkpoint_meta(adam={"t": "3", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}),
+         "adam.t must be an int >= 0, got '3'"),
+        (None, checkpoint_meta(adam={"t": 3, "beta1": 0.9, "beta2": None, "eps": 1e-8}),
+         "adam.beta2 must be an int or float, got None"),
+        (None, checkpoint_meta(adam={"t": 3, "beta1": 0.9, "beta2": 0.999, "eps": []}),
+         "adam.eps must be an int or float, got []"),
     ], ids=["non-utf8-name", "empty-metadata", "list-metadata", "dims-missing-keys",
             "class-names-int", "class-name-not-str", "group-unknown-tag",
             "groups-short", "count-negative", "count-float", "count-bool",
             "counts-short", "history-dict", "history-entry-int", "sha-int",
-            "sha-short"])
+            "sha-short", "epoch-float", "epoch-bool", "adam-t-str", "adam-beta-none",
+            "adam-eps-list"])
     def test_malformed_checkpoint_is_a_format_error(self, tmp_path, header, meta, message):
         p = write_checkpoint_file(tmp_path / "bad.cprc", meta, header=header)
         with pytest.raises(FileFormatError, match=re.escape(str(p))) as info:
@@ -439,7 +448,7 @@ class TestUntrainedScores:
                 tracemalloc.stop()
 
         scored = traced_peak(lambda: score_dataset(params, test_ds))
-        built = traced_peak(lambda: forward_batch(test_ds.samples, params).data)
+        built = traced_peak(lambda: forward_batch(test_ds.features, params).data)
         assert scored < 0.5 * built, (scored, built)
 
 
