@@ -9,8 +9,9 @@ presets (:mod:`promptrefine.losses`), non-interpolated mAP evaluation
 grouped by class frequency (:mod:`promptrefine.metrics`), the dataset
 as two arrays (features and multi-hot labels) with a synthetic
 long-tailed generator and binary file formats
-(:mod:`promptrefine.data`), and an Adam trainer with bitwise-reproducible
-checkpoints (:mod:`promptrefine.training`).  ``promptrefine.baseline``
+(:mod:`promptrefine.data`), an Adam trainer with bitwise-reproducible
+checkpoints (:mod:`promptrefine.training`), and one typed checker for
+configs and checkpoint metadata (:mod:`promptrefine.schema`).  ``promptrefine.baseline``
 holds the mean-pooled linear reference model, trained by the same epoch
 loop, and ``promptrefine.cli`` the command line (``gen-data`` / ``train``
 / ``eval`` / ``gradcheck``).

@@ -20,7 +20,7 @@ from .autodiff import Tensor
 from .data import LongTailDataset, split_groups
 from .losses import get_loss
 from .metrics import EvalReport, map_report
-from .training import Adam, run_epoch
+from .training import Adam, check_test_split, run_epoch
 
 __all__ = ["BaselineParams", "init_baseline", "baseline_forward_batch",
            "score_baseline", "train_baseline"]
@@ -69,6 +69,7 @@ def train_baseline(train_ds: LongTailDataset, test_ds: LongTailDataset,
     """Identical training protocol to the prompt model: Adam, the same loss
     family, the same epoch loop.  Returns the trained parameters and the
     final test report grouped by the training-set counts."""
+    check_test_split(train_ds, test_ds)
     params = init_baseline(train_ds.features.shape[2], train_ds.c, seed)
     adam = Adam(params.learnable(), learning_rate, weight_decay)
     loss_fn = get_loss(loss_name, loss_cfg)

@@ -13,7 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .data import GeneratorConfig, generate_synthetic_lt, save_features
+from .data import FileFormatError, GeneratorConfig, generate_synthetic_lt, save_features
 from .training import TrainConfig, evaluate, run_gradcheck, train
 
 __all__ = ["main"]
@@ -43,8 +43,13 @@ def _cmd_gen_data(args) -> int:
 
 
 def _read_config(path) -> TrainConfig:
+    """Load a config file; malformed JSON or a config the schema refuses
+    is a FileFormatError that names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return TrainConfig.from_dict(json.load(fh))
+        try:
+            return TrainConfig.from_dict(json.load(fh))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def _cmd_train(args) -> int:

@@ -48,6 +48,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .model import SemanticEmbedding
+from .schema import check_fields, integer, key, non_negative, number, positive
 
 __all__ = [
     "FileFormatError",
@@ -172,29 +173,21 @@ def split_groups(class_counts, head_min: int = 100, tail_max: int = 20) -> list:
 
 @dataclass
 class GeneratorConfig:
-    c: int = 20
-    v: int = 8
-    d0: int = 16
-    n_max: int = 775
-    pareto_exponent: float = 1.35
-    pareto_ramp: float = 0.0
-    co_occurrence_strength: float = 0.0
-    noise_sigma: float = 0.5
-    test_per_class: int = 30
-    seed: int = 0
+    """The generator's knobs, checked by the config's checker (``schema``)."""
+
+    c: int = key(integer(1), 20)
+    v: int = key(integer(1), 8)
+    d0: int = key(integer(1), 16)
+    n_max: int = key(integer(1), 775)
+    pareto_exponent: float = key(positive, 1.35)
+    pareto_ramp: float = key(non_negative, 0.0)
+    co_occurrence_strength: float = key(number("in [0, 1]", lambda x: 0.0 <= x <= 1.0), 0.0)
+    noise_sigma: float = key(non_negative, 0.5)
+    test_per_class: int = key(integer(1), 30)
+    seed: int = key(integer(0), 0)
 
     def __post_init__(self):
-        for name in ("c", "v", "d0", "n_max", "test_per_class"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.pareto_exponent <= 0:
-            raise ValueError("pareto_exponent must be positive")
-        if self.pareto_ramp < 0:
-            raise ValueError("pareto_ramp must be >= 0")
-        if not 0.0 <= self.co_occurrence_strength <= 1.0:
-            raise ValueError("co_occurrence_strength must be in [0, 1]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        check_fields(self)
 
 
 def count_schedule(cfg: GeneratorConfig) -> np.ndarray:
@@ -323,7 +316,8 @@ def _write_atomic(path, blob: bytes) -> None:
 def write_container(path, magic: bytes, arrays: dict, meta: dict) -> None:
     """Atomically write ``arrays`` (name -> array, in dict order) and the
     JSON-serializable ``meta``.  Refuses a dtype outside ``DTYPES`` and a
-    non-finite float, which ``read_container`` would refuse."""
+    non-finite float in an array or in ``meta``, which ``read_container``
+    would refuse."""
     entries = []
     for name, a in arrays.items():
         if a.dtype.str not in DTYPES:
@@ -332,9 +326,13 @@ def write_container(path, magic: bytes, arrays: dict, meta: dict) -> None:
             raise ValueError(f"array {name!r} has non-finite values")
         entries.append([name, a.dtype.str, list(a.shape)])
     header = json.dumps({"arrays": entries, "meta": meta}, sort_keys=True,
-                        separators=(",", ":")).encode("utf-8")
+                        separators=(",", ":"), allow_nan=False).encode("utf-8")
     _write_atomic(path, b"".join([magic, struct.pack("<II", FORMAT_VERSION, len(header)),
                                   header, *(a.tobytes() for a in arrays.values())]))
+
+
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
 
 
 def read_container(path, magic: bytes, schema: dict) -> tuple[dict, dict]:
@@ -342,12 +340,12 @@ def read_container(path, magic: bytes, schema: dict) -> tuple[dict, dict]:
     arrays read-only views of the file's bytes, in file order.  ``schema``
     maps each required name to ``(dtype, ndim)``; key ``"*"`` admits any
     other name and ndim None any rank.  A malformed file — bad magic,
-    version, JSON or schema, an inexact byte count, a non-finite float —
-    raises ``FileFormatError`` or a subclass."""
+    version, JSON (a NaN or Infinity token too) or schema, an inexact byte
+    count, a non-finite float — raises ``FileFormatError`` or a subclass."""
     r = _Reader(Path(path).read_bytes(), str(path))
     raw = r.take(_check_header(r, magic))
     try:
-        header = json.loads(raw.decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant)
     except (ValueError, RecursionError) as exc:   # UnicodeDecodeError, JSONDecodeError
         raise FileFormatError(f"{r.path}: header is not UTF-8 JSON: {exc}") from exc
     if not (isinstance(header, dict) and sorted(header) == ["arrays", "meta"]

@@ -20,10 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .schema import Field, check_fields, key, non_negative, number, spec_of, tagged
 
-__all__ = ["ASLConfig", "asl", "bce", "focal", "get_loss", "LOSS_NAMES"]
-
-LOSS_NAMES = ("asl", "bce", "focal")
+__all__ = ["ASLConfig", "LOSS", "asl", "bce", "focal", "get_loss"]
 
 
 @dataclass
@@ -34,21 +33,25 @@ class ASLConfig:
     negative branches; mu is the probability margin subtracted from the
     score on the negative branch before focusing (scores at or below mu
     contribute nothing and receive zero gradient — the subgradient at the
-    kink is taken as 0).
+    kink is taken as 0).  The first three are the config's ``asl`` keys.
     """
 
-    gamma_pos: float = 0.0
-    gamma_neg: float = 4.0
-    mu: float = 0.05
-    eps: float = 1e-8
+    gamma_pos: float = key(non_negative, 0.0)
+    gamma_neg: float = key(non_negative, 4.0)
+    mu: float = key(number("in [0, 1)", lambda x: 0.0 <= x < 1.0), 0.05)
+    eps: float = key(number("in (0, 0.5)", lambda x: 0.0 < x < 0.5), 1e-8)
 
     def __post_init__(self):
-        if self.gamma_pos < 0 or self.gamma_neg < 0:
-            raise ValueError("focusing exponents must be >= 0")
-        if not 0.0 <= self.mu < 1.0:
-            raise ValueError(f"margin mu must be in [0, 1), got {self.mu}")
-        if not 0.0 < self.eps < 0.5:
-            raise ValueError(f"eps must be in (0, 0.5), got {self.eps}")
+        check_fields(self)
+
+
+# The config's loss section: the keys of each loss name, with their one
+# default each.  asl's are ASLConfig's own fields.
+LOSS = tagged("name", {
+    "asl": {k: f for k, f in spec_of(ASLConfig).items() if k != "eps"},
+    "bce": {},
+    "focal": {"gamma": Field(non_negative, 2.0)},
+})
 
 
 def _check_inputs(s: Tensor, y: np.ndarray) -> tuple[np.ndarray, int]:
@@ -114,21 +117,17 @@ def focal(s: Tensor, y: np.ndarray, gamma: float = 2.0, eps: float = 1e-8) -> Te
 
 
 def get_loss(name: str, loss_cfg: dict | None = None) -> Callable[[Tensor, np.ndarray], Tensor]:
-    """Resolve a loss by config name ("asl", "bce", "focal") to ``asl``
-    under the matching ``ASLConfig``.
-
-    ``loss_cfg`` holds the optional keys gamma_pos / gamma_neg / mu for
-    asl and gamma for focal; unknown names raise ValueError.
+    """Resolve a loss by config name to ``asl`` under the matching
+    ``ASLConfig``.  ``loss_cfg`` holds the name's other keys, each
+    optional: ``gamma_pos`` / ``gamma_neg`` / ``mu`` for "asl", ``gamma``
+    for "focal", none for "bce".  An unknown name, an unknown key or a
+    mistyped value raises ValueError naming the key (see ``LOSS``).
     """
-    loss_cfg = loss_cfg or {}
+    loss = LOSS({**(loss_cfg or {}), "name": name}, "loss")
     if name == "asl":
-        cfg = ASLConfig(**{key: float(loss_cfg[key])
-                           for key in ("gamma_pos", "gamma_neg", "mu") if key in loss_cfg})
+        cfg = ASLConfig(loss["gamma_pos"], loss["gamma_neg"], loss["mu"])
     elif name == "bce":
         cfg = ASLConfig(0.0, 0.0, 0.0)
-    elif name == "focal":
-        gamma = float(loss_cfg.get("gamma", 2.0))
-        cfg = ASLConfig(gamma, gamma, 0.0)
     else:
-        raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
+        cfg = ASLConfig(loss["gamma"], loss["gamma"], 0.0)
     return lambda s, y: asl(s, y, cfg)

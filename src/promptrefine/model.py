@@ -30,12 +30,13 @@ depend on the batch it is scored in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .schema import check_fields, integer, key, number
 
 __all__ = [
     "LN_EPS",
@@ -64,20 +65,19 @@ LN_EPS = 1e-5
 class ModelDims:
     """Shape record: d0 raw feature width, d joint width, v visual tokens,
     c classes, heads attention heads, ffn feed-forward width, tau the
-    prompt-hidden-width ratio (hidden width t = round(tau * d))."""
+    prompt-hidden-width ratio (hidden width t = round(tau * d)).  It is
+    also the config's ``dims`` section; see ``schema``."""
 
-    d0: int
-    d: int
-    v: int
-    c: int
-    heads: int
-    ffn: int
-    tau: float = 0.5
+    d0: int = key(integer(1))
+    d: int = key(integer(1))
+    v: int = key(integer(1))
+    c: int = key(integer(1))
+    heads: int = key(integer(1))
+    ffn: int = key(integer(1))
+    tau: float = key(number(), 0.5)
 
     def __post_init__(self):
-        for name in ("d0", "d", "v", "c", "heads", "ffn"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"dimension {name} must be >= 1")
+        check_fields(self)
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
         if round(self.tau * self.d) < 1:
@@ -86,15 +86,6 @@ class ModelDims:
     @property
     def t(self) -> int:
         return round(self.tau * self.d)
-
-    def to_dict(self) -> dict:
-        return {"d0": self.d0, "d": self.d, "v": self.v, "c": self.c,
-                "heads": self.heads, "ffn": self.ffn, "tau": self.tau}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelDims":
-        return cls(d0=int(d["d0"]), d=int(d["d"]), v=int(d["v"]), c=int(d["c"]),
-                   heads=int(d["heads"]), ffn=int(d["ffn"]), tau=float(d.get("tau", 0.5)))
 
 
 @dataclass

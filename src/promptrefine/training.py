@@ -14,14 +14,14 @@ in sorted name order.  The container's metadata echoes the training
 config, epoch, metric history, Adam scalars, class names,
 head/medium/tail groups, the training class counts, and ``data_sha256``,
 a fingerprint of the training features and labels that ``resume_from``
-must match.
+must match; ``CHECKPOINT_META`` is its spec.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .data import (
     split_groups,
     write_container,
 )
-from .losses import LOSS_NAMES, get_loss
+from .losses import LOSS, get_loss
 from .metrics import GROUP_ORDER, EvalReport, map_report
 from .model import (
     ModelDims,
@@ -45,6 +45,25 @@ from .model import (
     SemanticEmbedding,
     forward_batch,
     init_model,
+)
+from .schema import (
+    Field,
+    boolean,
+    build,
+    check_fields,
+    integer,
+    key,
+    list_of,
+    nested,
+    non_negative,
+    number,
+    one_of,
+    optional,
+    positive,
+    rule,
+    section,
+    string,
+    tagged,
 )
 
 __all__ = [
@@ -57,6 +76,7 @@ __all__ = [
     "rebuild_model",
     "TrainResult",
     "run_epoch",
+    "check_test_split",
     "train_on_datasets",
     "train",
     "evaluate",
@@ -81,67 +101,47 @@ class CheckpointMismatchError(ValueError):
 # config
 # ---------------------------------------------------------------------------
 
-def _default_embedding() -> dict:
-    return {"mode": "random", "path": None, "m": 16, "seed": 0}
-
-
-def _default_loss() -> dict:
-    return {"name": "asl", "gamma_pos": 0.0, "gamma_neg": 4.0, "mu": 0.05}
+# The config's embedding section, its keys picked by mode.  A random
+# embedding reads no file; a file embedding with no ``m`` takes the file's
+# width.
+EMBEDDING = tagged("mode", {
+    "random": {"path": Field(rule("null", lambda x: x is None), None),
+               "m": Field(integer(1), 16),
+               "seed": Field(integer(0), 0)},
+    "file": {"path": Field(string),
+             "m": Field(optional(integer(1)), None),
+             "seed": Field(integer(0), 0)},
+})
 
 
 @dataclass
 class TrainConfig:
-    dims: ModelDims
-    loss: dict = field(default_factory=_default_loss)
-    embedding: dict = field(default_factory=_default_embedding)
-    epochs: int = 30
-    batch_size: int = 32
-    learning_rate: float = 5e-5
-    weight_decay: float = 1e-4
-    seed: int = 0
-    literal_equations: bool = False
+    """The training config.  Each field is a key of the config JSON, with
+    its type, bounds and one default given here; ``loss`` is checked by
+    ``losses.LOSS`` and ``embedding`` by ``EMBEDDING``, and both are stored
+    with their defaults filled in.  Unknown keys are refused at every
+    level, and each refusal is a ValueError naming the key path (see
+    ``schema``)."""
+
+    dims: ModelDims = key(nested(ModelDims))
+    loss: dict = key(LOSS, {"name": "asl"})
+    embedding: dict = key(EMBEDDING, {"mode": "random"})
+    epochs: int = key(integer(1), 30)
+    batch_size: int = key(integer(1), 32)
+    learning_rate: float = key(positive, 5e-5)
+    weight_decay: float = key(non_negative, 1e-4)
+    seed: int = key(integer(0), 0)
+    literal_equations: bool = key(boolean, False)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.loss.get("name") not in LOSS_NAMES:
-            raise ValueError(
-                f"loss name {self.loss.get('name')!r} not in {LOSS_NAMES}")
-        if self.embedding.get("mode") not in ("random", "file"):
-            raise ValueError(f"embedding mode {self.embedding.get('mode')!r} "
-                             "must be 'random' or 'file'")
+        check_fields(self)
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "loss": dict(self.loss),
-            "dims": self.dims.to_dict(),
-            "embedding": dict(self.embedding),
-            "seed": self.seed,
-            "literal_equations": self.literal_equations,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        casts = {"epochs": int, "batch_size": int, "seed": int,
-                 "learning_rate": float, "weight_decay": float,
-                 "loss": dict, "embedding": dict, "literal_equations": bool}
-        unknown = set(d) - set(casts) - {"dims"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "dims" not in d:
-            raise ValueError("config needs a 'dims' section")
-        return cls(dims=ModelDims.from_dict(d["dims"]),
-                   **{key: cast(d[key]) for key, cast in casts.items() if key in d})
+        return build(cls, d)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +196,7 @@ class Checkpoint:
     epoch: int
     history: list
     tensors: dict            # name -> float64 array (model + adam moments)
-    adam_t: int
-    adam_scalars: dict       # beta1, beta2, eps
+    adam: dict               # t, beta1, beta2, eps
     class_names: list
     groups: list
     class_counts: list
@@ -235,38 +234,24 @@ def save_checkpoint(path, params: ModelParams, adam: Adam, cfg: TrainConfig,
                     meta)
 
 
-def _check_metadata(meta: dict) -> None:
-    """Type-check the class, history, epoch and Adam metadata;
-    load_checkpoint turns the TypeError or ValueError into a
-    FileFormatError."""
-    names = meta["class_names"]
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-        raise TypeError(f"class_names must be a list of str, got {names!r}")
-    groups = meta["groups"]
-    if not (isinstance(groups, list) and len(groups) == len(names)
-            and all(g in GROUP_ORDER for g in groups)):
-        raise ValueError(f"groups must be {len(names)} tags from {GROUP_ORDER}, "
-                         f"got {groups!r}")
-    counts = meta["class_counts"]
-    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
-    if not (isinstance(counts, list) and len(counts) == len(names)
-            and all(type(n) is int and n >= 0 for n in counts)):
-        raise ValueError(f"class_counts must be {len(names)} ints >= 0, got {counts!r}")
-    history = meta["history"]
-    if not (isinstance(history, list) and all(isinstance(h, dict) for h in history)):
-        raise TypeError(f"history must be a list of dicts, got {history!r}")
-    sha = meta["data_sha256"]
-    if not (isinstance(sha, str) and len(sha) == 64):
-        raise TypeError(f"data_sha256 must be a 64-character hex digest, got {sha!r}")
-    epoch = meta["epoch"]
-    if not (type(epoch) is int and epoch >= 0):
-        raise ValueError(f"epoch must be an int >= 0, got {epoch!r}")
-    adam = meta["adam"]
-    if not (type(adam["t"]) is int and adam["t"] >= 0):
-        raise ValueError(f"adam.t must be an int >= 0, got {adam['t']!r}")
-    for key in ("beta1", "beta2", "eps"):
-        if type(adam[key]) not in (int, float):
-            raise TypeError(f"adam.{key} must be an int or float, got {adam[key]!r}")
+# The checkpoint's metadata.  The config echo is checked like a config
+# file, under the path "config".
+CHECKPOINT_META = section({
+    "config": Field(nested(TrainConfig)),
+    "epoch": Field(integer(0)),
+    "history": Field(list_of(section({
+        "epoch": Field(integer(0)),
+        "train_loss": Field(number()),
+        **{f"map_{g}": Field(optional(number())) for g in ("total", *GROUP_ORDER)},
+    }))),
+    "adam": Field(section({"t": Field(integer(0)), "beta1": Field(number()),
+                           "beta2": Field(number()), "eps": Field(number())})),
+    "class_names": Field(list_of(string)),
+    "groups": Field(list_of(one_of(*GROUP_ORDER))),
+    "class_counts": Field(list_of(integer(0))),
+    "data_sha256": Field(rule("a 64-character hex digest", lambda s: type(s) is str
+                              and len(s) == 64 and set(s) <= set("0123456789abcdef"))),
+})
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -274,21 +259,14 @@ def load_checkpoint(path) -> Checkpoint:
     The tensors are read-only views of the file's bytes."""
     tensors, meta = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA)
     try:
-        _check_metadata(meta)
-        return Checkpoint(
-            config=TrainConfig.from_dict(meta["config"]),
-            epoch=meta["epoch"],
-            history=meta["history"],
-            tensors=tensors,
-            adam_t=meta["adam"]["t"],
-            adam_scalars={k: meta["adam"][k] for k in ("beta1", "beta2", "eps")},
-            class_names=meta["class_names"],
-            groups=meta["groups"],
-            class_counts=meta["class_counts"],
-            data_sha256=meta["data_sha256"],
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
+        meta = CHECKPOINT_META(meta, "")
+        for key in ("groups", "class_counts"):
+            if len(meta[key]) != len(meta["class_names"]):
+                raise ValueError(f"{key} must have {len(meta['class_names'])} entries, "
+                                 f"one per class name, got {meta[key]!r}")
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: malformed checkpoint: {exc}") from exc
+    return Checkpoint(tensors=tensors, **meta)
 
 
 def rebuild_model(ckpt: Checkpoint) -> ModelParams:
@@ -312,7 +290,7 @@ def rebuild_model(ckpt: Checkpoint) -> ModelParams:
 
 
 def _restore_adam(adam: Adam, ckpt: Checkpoint) -> None:
-    adam.t = ckpt.adam_t
+    adam.t = ckpt.adam["t"]
     for name in adam.params:
         for kind, store in (("m", adam.m), ("v", adam.v)):
             key = f"adam.{kind}.{name}"
@@ -364,12 +342,7 @@ class TrainResult:
 
 
 def _build_embedding(cfg: TrainConfig, c: int, class_names=None) -> SemanticEmbedding:
-    e = cfg.embedding
-    return embedding_provider(
-        e.get("mode", "random"), path=e.get("path"),
-        c=c, m=e.get("m"), seed=int(e.get("seed", 0)),
-        class_names=class_names,
-    )
+    return embedding_provider(**cfg.embedding, c=c, class_names=class_names)
 
 
 def run_epoch(train_ds: LongTailDataset, seed: int, epoch: int, batch_size: int,
@@ -392,11 +365,24 @@ def run_epoch(train_ds: LongTailDataset, seed: int, epoch: int, batch_size: int,
     return total_loss / len(order)
 
 
+def check_test_split(train_ds: LongTailDataset, test_ds: LongTailDataset) -> None:
+    """Refuse a test split that the model trained on ``train_ds`` cannot
+    score: another class count, other class names, or another (v, d0)."""
+    if test_ds.c != train_ds.c:
+        raise ValueError(f"test split has {test_ds.c} classes, training split has {train_ds.c}")
+    if test_ds.class_names != train_ds.class_names:
+        raise ValueError("test split class names differ from the training split's")
+    if test_ds.features.shape[1:] != train_ds.features.shape[1:]:
+        raise ValueError(f"test split features are (v, d0) = {test_ds.features.shape[1:]}, "
+                         f"training split's are {train_ds.features.shape[1:]}")
+
+
 def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
                       test_ds: LongTailDataset, out_dir,
                       resume_from=None) -> TrainResult:
     """Run the full training loop, evaluating on the test split and writing
     one checkpoint per epoch plus ``checkpoint_final.cprc``."""
+    check_test_split(train_ds, test_ds)
     if cfg.dims.c != train_ds.c:
         raise ValueError(f"config has {cfg.dims.c} classes, data has {train_ds.c}")
     v, d0 = train_ds.features.shape[1:]

@@ -104,7 +104,8 @@ class TestTrainEval:
                    "--out", str(tmp_path / "run")])
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip())
-        assert "unknown config keys" in payload["message"]
+        assert payload["error"] == "FileFormatError"
+        assert payload["message"] == f"{cfg_path}: unknown keys ['learning_rte']"
 
     def test_eval_wrong_file_type(self, tmp_path, data_dir, capsys):
         rc = main(["eval", "--checkpoint", str(data_dir / "train.cprf"),

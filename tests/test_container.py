@@ -103,6 +103,13 @@ class TestContainer:
             write_container(p, MAGIC, {"a": np.array([0.0, np.inf])}, {})
         assert not p.exists()
 
+    def test_writer_refuses_non_finite_meta(self, tmp_path):
+        p = tmp_path / "x.bin"
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                write_container(p, MAGIC, _arrays(), {"k": [1.0, bad]})
+        assert not p.exists()
+
     def test_embeddings_save_load_save_identical_bytes(self, tmp_path):
         write_embeddings(tmp_path / "a.cpre")
         save_embeddings(*load_embeddings(tmp_path / "a.cpre"), tmp_path / "b.cpre")
@@ -160,6 +167,22 @@ class TestLoaders:
         path.write_bytes(join(prefix, header, value + payload[len(value):]))
         with pytest.raises(FileFormatError, match=f"array '{name}' has non-finite values"):
             load(path)
+
+    def test_non_finite_meta_token_is_refused(self, valid_file):
+        """A NaN or Infinity token anywhere in the header is refused, even
+        under a meta key the format's loader does not read."""
+        path, load, blob = valid_file
+        prefix, header, payload = split(blob)
+        meta = header["meta"]
+        if "adam" in meta:
+            meta["adam"]["beta1"] = float("nan")
+            meta["config"]["learning_rate"] = float("inf")
+        else:
+            meta["scale"] = float("nan")
+        path.write_bytes(join(prefix, header, payload))
+        with pytest.raises(FileFormatError, match=re.escape(str(path))) as info:
+            load(path)
+        assert "NaN is not a JSON number" in str(info.value)
 
     def test_class_names_must_match_the_arrays(self, tmp_path):
         for write, load in (FORMATS["features"], FORMATS["embeddings"]):

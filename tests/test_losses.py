@@ -148,12 +148,13 @@ class TestValidationAndRegistry:
         rng = np.random.default_rng(1)
         s_val = rng.uniform(0.1, 0.9, size=4)
         y = np.array([1.0, 0.0, 0.0, 1.0])
-        for name in ("asl", "bce", "focal"):
-            fn = get_loss(name, {"gamma_pos": 0.0, "gamma_neg": 4.0, "mu": 0.05})
+        for name, keys in (("asl", {"gamma_pos": 0.0, "gamma_neg": 4.0, "mu": 0.05}),
+                           ("bce", {}), ("focal", {"gamma": 2.0})):
+            fn = get_loss(name, keys)
             assert float(fn(ad.constant(s_val), y).data) > 0.0
 
     def test_get_loss_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown loss"):
+        with pytest.raises(ValueError, match="loss.name must be one of"):
             get_loss("hinge")
 
     def test_get_loss_asl_honours_config_values(self):

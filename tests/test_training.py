@@ -16,6 +16,7 @@ from promptrefine.data import (
     FileTruncatedError,
     FileVersionError,
     GeneratorConfig,
+    LongTailDataset,
     generate_synthetic_lt,
     save_embeddings,
     save_features,
@@ -138,7 +139,7 @@ class TestTrainConfig:
     def test_rejects_unknown_keys(self):
         d = tiny_config().to_dict()
         d["learning_rte"] = 0.1
-        with pytest.raises(ValueError, match="unknown config keys"):
+        with pytest.raises(ValueError, match=re.escape("unknown keys ['learning_rte']")):
             TrainConfig.from_dict(d)
 
     def test_rejects_bad_values(self):
@@ -172,6 +173,90 @@ def write_checkpoint_file(p, meta, arrays=(), payload=b"", header=None):
     p.write_bytes(b"CPRC" + (2).to_bytes(4, "little") + len(header).to_bytes(4, "little")
                   + header + payload)
     return p
+
+
+# Values the config schema refuses, each with the key path and message the
+# refusal names.  json.dumps writes inf as the JSON token Infinity.
+SCHEMA_CASES = [
+    (("literal_equations",), "false", "literal_equations",
+     "literal_equations must be true or false, got 'false'"),
+    (("epochs",), 2.9, "epochs", "epochs must be an int >= 1, got 2.9"),
+    (("batch_size",), True, "batch_size", "batch_size must be an int >= 1, got True"),
+    (("dims", "tau"), True, "dims.tau", "dims.tau must be a finite number, got True"),
+    (("dims", "c"), 5.7, "dims.c", "dims.c must be an int >= 1, got 5.7"),
+    (("learning_rate",), "1e-3", "learning_rate",
+     "learning_rate must be a finite number > 0, got '1e-3'"),
+    (("learning_rate",), float("inf"), "learning_rate",
+     "learning_rate must be a finite number > 0, got inf"),
+    (("loss", "gammma_neg"), 2.0, "loss.gammma_neg", "unknown keys ['loss.gammma_neg']"),
+    (("loss", "mu"), "0.1", "loss.mu", "loss.mu must be a finite number in [0, 1), got '0.1'"),
+    (("loss", "gamma"), 2.0, "loss.gamma", "unknown keys ['loss.gamma']"),
+    (("loss",), {"name": "bce", "gamma": 2.0}, "loss.gamma", "unknown keys ['loss.gamma']"),
+    (("loss",), None, "loss", "loss must be an object, got None"),
+    (("loss",), [["name", "asl"]], "loss", "loss must be an object, got [['name', 'asl']]"),
+    (("embedding", "sede"), 1, "embedding.sede", "unknown keys ['embedding.sede']"),
+    (("embedding", "m"), 4.5, "embedding.m", "embedding.m must be an int >= 1, got 4.5"),
+    (("embedding", "seed"), 1.9, "embedding.seed",
+     "embedding.seed must be an int >= 0, got 1.9"),
+    (("embedding",), {"mode": "file", "m": 7}, "embedding.path",
+     "missing keys ['embedding.path']"),
+    (("dims", "extra"), 1, "dims.extra", "unknown keys ['dims.extra']"),
+]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("keys, value, key_path, message", SCHEMA_CASES, ids=[
+        "literal-str", "epochs-float", "batch-bool", "tau-bool", "classes-float",
+        "lr-str", "lr-infinity", "loss-typo", "mu-str", "gamma-under-asl",
+        "gamma-under-bce", "loss-null", "loss-pairs", "embedding-typo",
+        "embedding-m-float", "embedding-seed-float", "file-without-path", "dims-extra"])
+    def test_refusal_names_the_key_path(self, tmp_path, keys, value, key_path, message):
+        d = tiny_config().to_dict()
+        target = d
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = value
+        text = json.dumps(d)
+        with pytest.raises(ValueError) as info:
+            TrainConfig.from_dict(json.loads(text))
+        assert str(info.value) == message
+        assert key_path in message
+
+        # The checkpoint's config echo is checked by the same spec, under
+        # "config", and the refusal names the file.  The container's JSON
+        # reader refuses the Infinity token before the schema sees it.
+        p = write_checkpoint_file(tmp_path / "echo.cprc",
+                                  checkpoint_meta(config=json.loads(text)))
+        with pytest.raises(FileFormatError, match=re.escape(str(p))) as info:
+            load_checkpoint(p)
+        if "Infinity" in text:
+            assert "Infinity is not a JSON number" in str(info.value)
+        else:
+            assert message.replace(key_path, f"config.{key_path}", 1) in str(info.value)
+
+    def test_partial_sections_take_the_one_default(self):
+        cfg = TrainConfig.from_dict({**tiny_config().to_dict(), "loss": {"name": "focal"},
+                                     "embedding": {"mode": "file", "path": "e.cpre"}})
+        assert cfg.loss == {"name": "focal", "gamma": 2.0}
+        assert cfg.embedding == {"mode": "file", "path": "e.cpre", "m": None, "seed": 0}
+        assert TrainConfig(dims=tiny_config().dims).to_dict() == {
+            "dims": {"d0": 5, "d": 8, "v": 4, "c": 6, "heads": 2, "ffn": 12, "tau": 0.5},
+            "loss": {"name": "asl", "gamma_pos": 0.0, "gamma_neg": 4.0, "mu": 0.05},
+            "embedding": {"mode": "random", "path": None, "m": 16, "seed": 0},
+            "epochs": 30, "batch_size": 32, "learning_rate": 5e-5, "weight_decay": 1e-4,
+            "seed": 0, "literal_equations": False}
+
+    def test_an_int_is_stored_as_a_float(self):
+        d = {**tiny_config().to_dict(), "learning_rate": 1, "weight_decay": 0}
+        cfg = TrainConfig.from_dict(d)
+        assert type(cfg.learning_rate) is float and type(cfg.weight_decay) is float
+
+    def test_readme_config_block_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```json\n(.*?)```", readme, re.S)
+        assert block is not None, "README.md has no JSON config block"
+        cfg = TrainConfig.from_dict(json.loads(block.group(1)))
+        assert cfg.to_dict() == TrainConfig.from_dict(cfg.to_dict()).to_dict()
 
 
 class TestCheckpointRoundTrip:
@@ -230,21 +315,26 @@ class TestCheckpointRoundTrip:
 
     @pytest.mark.parametrize("header, meta, message", [
         (b'{"arrays":[["\xff","<f8",[1]]],"meta":{}}', None, "header is not UTF-8 JSON"),
-        (None, {}, "KeyError('class_names')"),
+        (None, {}, "missing keys ['config', 'epoch', 'history', 'adam', 'class_names', "
+                    "'groups', 'class_counts', 'data_sha256']"),
         (None, [], "'meta' object"),
         (None, {"config": {**tiny_config().to_dict(), "dims": {"d0": 5, "d": 8}},
                 **{k: v for k, v in checkpoint_meta().items() if k != "config"}},
-         "KeyError('v')"),
-        (None, checkpoint_meta(class_names=5), "class_names must be a list of str"),
-        (None, checkpoint_meta(class_names=["a", 3]), "class_names must be a list of str"),
-        (None, checkpoint_meta(groups=["head", "huge"]), "groups must be 2 tags"),
-        (None, checkpoint_meta(groups=["head"]), "groups must be 2 tags"),
-        (None, checkpoint_meta(class_counts=[3, -1]), "class_counts must be 2 ints"),
-        (None, checkpoint_meta(class_counts=[3, 1.5]), "class_counts must be 2 ints"),
-        (None, checkpoint_meta(class_counts=[True, 3]), "class_counts must be 2 ints"),
-        (None, checkpoint_meta(class_counts=[3]), "class_counts must be 2 ints"),
-        (None, checkpoint_meta(history={"epoch": 0}), "history must be a list of dicts"),
-        (None, checkpoint_meta(history=[1]), "history must be a list of dicts"),
+         "missing keys ['config.dims.v', 'config.dims.c', 'config.dims.heads', "
+         "'config.dims.ffn']"),
+        (None, checkpoint_meta(class_names=5), "class_names must be a list, got 5"),
+        (None, checkpoint_meta(class_names=["a", 3]), "class_names[1] must be a string, got 3"),
+        (None, checkpoint_meta(groups=["head", "huge"]),
+         "groups[1] must be one of ['head', 'medium', 'tail'], got 'huge'"),
+        (None, checkpoint_meta(groups=["head"]),
+         "groups must have 2 entries, one per class name, got ['head']"),
+        (None, checkpoint_meta(class_counts=[3, -1]), "class_counts[1] must be an int >= 0, got -1"),
+        (None, checkpoint_meta(class_counts=[3, 1.5]), "class_counts[1] must be an int >= 0, got 1.5"),
+        (None, checkpoint_meta(class_counts=[True, 3]), "class_counts[0] must be an int >= 0, got True"),
+        (None, checkpoint_meta(class_counts=[3]),
+         "class_counts must have 2 entries, one per class name, got [3]"),
+        (None, checkpoint_meta(history={"epoch": 0}), "history must be a list, got {'epoch': 0}"),
+        (None, checkpoint_meta(history=[1]), "history[0] must be an object, got 1"),
         (None, checkpoint_meta(data_sha256=5), "data_sha256 must be a 64-character"),
         (None, checkpoint_meta(data_sha256="abc"), "data_sha256 must be a 64-character"),
         (None, checkpoint_meta(epoch=1.5), "epoch must be an int >= 0, got 1.5"),
@@ -252,9 +342,9 @@ class TestCheckpointRoundTrip:
         (None, checkpoint_meta(adam={"t": "3", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}),
          "adam.t must be an int >= 0, got '3'"),
         (None, checkpoint_meta(adam={"t": 3, "beta1": 0.9, "beta2": None, "eps": 1e-8}),
-         "adam.beta2 must be an int or float, got None"),
+         "adam.beta2 must be a finite number, got None"),
         (None, checkpoint_meta(adam={"t": 3, "beta1": 0.9, "beta2": 0.999, "eps": []}),
-         "adam.eps must be an int or float, got []"),
+         "adam.eps must be a finite number, got []"),
     ], ids=["non-utf8-name", "empty-metadata", "list-metadata", "dims-missing-keys",
             "class-names-int", "class-name-not-str", "group-unknown-tag",
             "groups-short", "count-negative", "count-float", "count-bool",
@@ -381,6 +471,30 @@ class TestTrainingLoop:
         train_ds, test_ds = tiny_data()  # c = 6
         with pytest.raises(ValueError, match="classes"):
             train_on_datasets(cfg, train_ds, test_ds, tmp_path / "run")
+
+    @pytest.mark.parametrize("trainer", ["prompt", "baseline"])
+    @pytest.mark.parametrize("other_test, message", [
+        (lambda test: LongTailDataset(test.features, test.labels,
+                                      [f"other_{i}" for i in range(6)]),
+         "test split class names differ from the training split's"),
+        (lambda test: tiny_data(c=7)[1], "test split has 7 classes, training split has 6"),
+        (lambda test: tiny_data(v=5)[1],
+         "test split features are (v, d0) = (5, 5), training split's are (4, 5)"),
+    ], ids=["class-names", "class-count", "tokens"])
+    def test_test_split_must_match_training_split(self, tmp_path, monkeypatch, trainer,
+                                                  other_test, message):
+        """Both trainers refuse the test split before the first epoch."""
+        def no_epoch(*args):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(training, "run_epoch", no_epoch)
+        monkeypatch.setattr(baseline, "run_epoch", no_epoch)
+        train_ds, test_ds = tiny_data()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if trainer == "prompt":
+                train_on_datasets(tiny_config(), train_ds, other_test(test_ds), tmp_path / "run")
+            else:
+                baseline.train_baseline(train_ds, other_test(test_ds), epochs=1)
 
     def test_file_based_train_and_evaluate(self, tmp_path):
         train_ds, test_ds = tiny_data()
