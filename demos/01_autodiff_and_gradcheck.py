@@ -21,8 +21,9 @@ x = ad.constant(rng.standard_normal((3, 4)))
 w = ad.parameter(rng.standard_normal((4, 2)))
 b = ad.parameter(np.zeros(2))
 
-# y = sum(sigmoid(x @ w + b));  dy/dw = x.T @ (s * (1 - s)),  dy/db = column sums
-y = ad.sum_all(ad.sigmoid(ad.add_rowvec(ad.matmul(x, w), b)))
+# y = sum(sigmoid(x @ w + b));  dy/dw = x.T @ (s * (1 - s)),  dy/db = column sums.
+# inner_sum([t], [weights]) is the scalar <t, weights>; all-ones weights sum t.
+y = ad.inner_sum([ad.sigmoid(ad.add_rowvec(ad.matmul(x, w), b))], [np.ones((3, 2))])
 ad.backward(y)
 
 s = 1.0 / (1.0 + np.exp(-(x.data @ w.data + b.data)))
@@ -40,7 +41,7 @@ print("=" * 70)
 
 p = ad.parameter(np.array([[1.0, 2.0]]))
 # z = sum(p * p) + sum(3 * p): dz/dp = 2p + 3
-z = ad.add(ad.sum_all(ad.mul(p, p)), ad.sum_all(ad.scale(p, 3.0)))
+z = ad.inner_sum([ad.add(ad.mul(p, p), ad.scale(p, 3.0))], [np.ones((1, 2))])
 ad.backward(z)
 print(f"p = {p.data.ravel()},  dz/dp = {p.grad.ravel()}  (expected {2 * p.data.ravel() + 3})")
 
@@ -57,7 +58,7 @@ bias = ad.parameter(np.zeros(3))
 def f():
     h = ad.gelu(ad.add_rowvec(ad.matmul(x, w), b))
     out = ad.layer_norm_rows(ad.matmul(h, w2), gain, bias)
-    return ad.mean_all(ad.mul(out, out))
+    return ad.inner_sum([ad.mul(out, out)], [np.full((3, 3), 1.0 / 9)])   # mean of squares
 
 
 result = ad.grad_check(f, {"w": w, "b": b, "w2": w2, "gain": gain, "bias": bias},

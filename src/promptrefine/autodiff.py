@@ -54,26 +54,18 @@ __all__ = [
     "matmul",
     "add",
     "add_rowvec",
-    "add_scalar",
     "broadcast_batch",
     "mul",
     "scale",
-    "neg",
     "gelu",
-    "relu",
     "sigmoid",
     "softmax_rows",
     "layer_norm_rows",
-    "log",
-    "power",
-    "clamp_min",
     "concat_rows",
     "slice_rows",
     "transpose",
     "reshape",
-    "sum_all",
     "sum_rows",
-    "mean_all",
     "inner_sum",
     "backward",
     "grad_check",
@@ -274,13 +266,6 @@ def broadcast_batch(x: Tensor, n: int) -> Tensor:
     return _from_op(np.broadcast_to(x.data, (n,) + x.data.shape).copy(), (x,), _bw)
 
 
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    def _bw(g: np.ndarray) -> None:
-        _accumulate(x, g)
-
-    return _from_op(x.data + c, (x,), _bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     if a.shape != b.shape:
@@ -300,10 +285,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _from_op(x.data * c, (x,), _bw)
 
 
-def neg(x: Tensor) -> Tensor:
-    return scale(x, -1.0)
-
-
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
 
@@ -318,16 +299,6 @@ def gelu(x: Tensor) -> Tensor:
         _accumulate(x, g * (0.5 * (1.0 + e) + x.data * pdf))
 
     return _from_op(out_data, (x,), _bw)
-
-
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at exactly 0 is taken as 0."""
-    mask = x.data > 0.0
-
-    def _bw(g: np.ndarray) -> None:
-        _accumulate(x, g * mask)
-
-    return _from_op(np.where(mask, x.data, 0.0), (x,), _bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -389,46 +360,6 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     return _from_op(out_data, (x, gain, bias), _bw)
 
 
-def log(x: Tensor) -> Tensor:
-    """Natural log; callers clamp away from 0 first."""
-    def _bw(g: np.ndarray) -> None:
-        _accumulate(x, g / x.data)
-
-    return _from_op(np.log(x.data), (x,), _bw)
-
-
-def power(x: Tensor, gamma: float) -> Tensor:
-    """Elementwise x**gamma for a constant exponent gamma >= 0.
-
-    gamma = 0 gives the constant 1 (0**0 := 1) with zero gradient.
-    At x = 0 with gamma > 0 the derivative is taken as 0 for gamma != 1.
-    """
-    if gamma < 0:
-        raise ValueError(f"power exponent must be >= 0, got {gamma}")
-    out_data = np.power(x.data, gamma)
-
-    def _bw(g: np.ndarray) -> None:
-        if gamma == 0.0:
-            return
-        if gamma == 1.0:
-            _accumulate(x, g)
-            return
-        d = np.where(x.data > 0.0, gamma * np.power(x.data, gamma - 1.0), 0.0)
-        _accumulate(x, g * d)
-
-    return _from_op(out_data, (x,), _bw)
-
-
-def clamp_min(x: Tensor, lo: float) -> Tensor:
-    """max(x, lo); gradient passes only where x > lo."""
-    mask = x.data > lo
-
-    def _bw(g: np.ndarray) -> None:
-        _accumulate(x, g * mask)
-
-    return _from_op(np.where(mask, x.data, lo), (x,), _bw)
-
-
 def concat_rows(*parts: Tensor) -> Tensor:
     """Concatenate tensors along axis -2 (rows); every other axis must match."""
     if len(parts) < 2:
@@ -486,14 +417,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _from_op(x.data.reshape(shape).copy(), (x,), _bw)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of every entry, as a scalar (shape ()) tensor."""
-    def _bw(g: np.ndarray) -> None:
-        _accumulate(x, np.full_like(x.data, float(g)))
-
-    return _from_op(np.asarray(x.data.sum()), (x,), _bw)
-
-
 def sum_rows(x: Tensor) -> Tensor:
     """Sums over the last axis: (..., n) -> (...)."""
     if x.data.ndim == 0:
@@ -503,10 +426,6 @@ def sum_rows(x: Tensor) -> Tensor:
         _accumulate(x, np.broadcast_to(g[..., None], x.data.shape))
 
     return _from_op(x.data.sum(axis=-1), (x,), _bw)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    return scale(sum_all(x), 1.0 / x.size)
 
 
 def inner_sum(xs: Iterable[Tensor], ws: Iterable[np.ndarray]) -> Tensor:

@@ -20,7 +20,8 @@ from .autodiff import Tensor
 from .data import LongTailDataset, split_groups
 from .losses import get_loss
 from .metrics import EvalReport, map_report
-from .training import Adam, check_test_split, run_epoch
+from .schema import spec_of
+from .training import Adam, TrainConfig, check_test_split, run_epoch
 
 __all__ = ["BaselineParams", "init_baseline", "baseline_forward_batch",
            "score_baseline", "train_baseline"]
@@ -61,14 +62,20 @@ def score_baseline(params: BaselineParams, dataset: LongTailDataset) -> np.ndarr
         return baseline_forward_batch(dataset.features, params).data
 
 
+_TRAIN = spec_of(TrainConfig)
+
+
 def train_baseline(train_ds: LongTailDataset, test_ds: LongTailDataset,
                    loss_name: str = "asl", loss_cfg: dict | None = None,
-                   epochs: int = 30, batch_size: int = 32,
-                   learning_rate: float = 5e-5, weight_decay: float = 1e-4,
-                   seed: int = 0) -> tuple[BaselineParams, EvalReport]:
+                   epochs: int = _TRAIN["epochs"].default,
+                   batch_size: int = _TRAIN["batch_size"].default,
+                   learning_rate: float = _TRAIN["learning_rate"].default,
+                   weight_decay: float = _TRAIN["weight_decay"].default,
+                   seed: int = _TRAIN["seed"].default) -> tuple[BaselineParams, EvalReport]:
     """Identical training protocol to the prompt model: Adam, the same loss
-    family, the same epoch loop.  Returns the trained parameters and the
-    final test report grouped by the training-set counts."""
+    family, the same epoch loop, and ``TrainConfig``'s defaults.  Returns
+    the trained parameters and the final test report grouped by the
+    training-set counts."""
     check_test_split(train_ds, test_ds)
     params = init_baseline(train_ds.features.shape[2], train_ds.c, seed)
     adam = Adam(params.learnable(), learning_rate, weight_decay)

@@ -14,18 +14,22 @@ import sys
 from pathlib import Path
 
 from .data import FileFormatError, GeneratorConfig, generate_synthetic_lt, save_features
+from .schema import spec_of
 from .training import TrainConfig, evaluate, run_gradcheck, train
 
 __all__ = ["main"]
 
+# gen-data's flags, each with the GeneratorConfig field it sets and takes
+# its default from.
+GEN_FLAGS = {"classes": "c", "n-max": "n_max", "exponent": "pareto_exponent",
+             "ramp": "pareto_ramp", "tokens": "v", "feat-dim": "d0",
+             "cooccur": "co_occurrence_strength", "noise": "noise_sigma", "seed": "seed",
+             "test-per-class": "test_per_class"}
+
 
 def _cmd_gen_data(args) -> int:
-    cfg = GeneratorConfig(
-        c=args.classes, v=args.tokens, d0=args.feat_dim, n_max=args.n_max,
-        pareto_exponent=args.exponent, pareto_ramp=args.ramp,
-        co_occurrence_strength=args.cooccur, noise_sigma=args.noise,
-        test_per_class=args.test_per_class, seed=args.seed,
-    )
+    cfg = GeneratorConfig(**{name: getattr(args, flag.replace("-", "_"))
+                             for flag, name in GEN_FLAGS.items()})
     train_ds, test_ds = generate_synthetic_lt(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -98,16 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-data", help="generate a synthetic long-tailed dataset")
     g.add_argument("--out", required=True, help="output directory")
-    g.add_argument("--classes", type=int, default=20)
-    g.add_argument("--n-max", type=int, default=775)
-    g.add_argument("--exponent", type=float, default=1.35)
-    g.add_argument("--ramp", type=float, default=0.0)
-    g.add_argument("--tokens", type=int, default=8)
-    g.add_argument("--feat-dim", type=int, default=16)
-    g.add_argument("--cooccur", type=float, default=0.0)
-    g.add_argument("--noise", type=float, default=0.5)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--test-per-class", type=int, default=30)
+    gen = spec_of(GeneratorConfig)
+    for flag, name in GEN_FLAGS.items():
+        default = gen[name].default
+        g.add_argument(f"--{flag}", type=type(default), default=default)
     g.set_defaults(func=_cmd_gen_data)
 
     t = sub.add_parser("train", help="train from a config JSON and a data directory")

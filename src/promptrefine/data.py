@@ -48,7 +48,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .model import SemanticEmbedding
-from .schema import check_fields, integer, key, non_negative, number, positive
+from .schema import (Field, check_fields, integer, key, list_of, non_negative, number, positive,
+                     section, string)
 
 __all__ = [
     "FileFormatError",
@@ -383,10 +384,16 @@ def read_container(path, magic: bytes, schema: dict) -> tuple[dict, dict]:
     return arrays, header["meta"]
 
 
+# The metadata of a feature or embedding file: its class names, nothing else.
+CLASS_NAMES_META = section({"class_names": Field(list_of(string))})
+
+
 def _class_names(path, meta: dict, c: int) -> list:
-    names = meta.get("class_names")
-    if not (isinstance(names, list) and len(names) == c
-            and all(isinstance(n, str) for n in names)):
+    try:
+        names = CLASS_NAMES_META(meta, "meta")["class_names"]
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    if len(names) != c:
         raise FileFormatError(f"{path}: meta.class_names must be {c} strings, got {names!r}")
     return names
 

@@ -1,14 +1,19 @@
 """Multi-label classification losses over per-class probabilities.
 
-One loss builds graph nodes: the asymmetric loss ``asl``.  Binary
+One loss builds a graph node: the asymmetric loss ``asl``.  Binary
 cross-entropy and the symmetric focal loss are presets of it,
 (gamma_pos, gamma_neg, mu) = (0, 0, 0) and (gamma, gamma, 0).  The loss
 takes a score tensor ``s`` holding probabilities — a ``(c,)`` vector for
 one sample or an ``(r, c)`` matrix for a batch — plus a same-shaped
 binary label array.  The scalar result is the mean over samples of the
 per-sample sum over classes, so the single-sample and batched forms
-agree.  Scores are clamped to ``[eps, ...]`` before any log so saturated
+agree.  Each log's argument is clamped to ``[eps, ...]`` so saturated
 probabilities cannot produce infinities.
+
+``asl`` is a single node whose parent is ``s``, built with the engine's
+own node constructor: its forward is one numpy pass and its backward the
+closed-form d(loss)/ds, with the subgradient conventions spelled out in
+``asl``: 0 at the margin kink and 0 through a log clamped at its floor.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _accumulate, _from_op
 from .schema import Field, check_fields, key, non_negative, number, spec_of, tagged
 
 __all__ = ["ASLConfig", "LOSS", "asl", "bce", "focal", "get_loss"]
@@ -66,39 +71,74 @@ def _check_inputs(s: Tensor, y: np.ndarray) -> tuple[np.ndarray, int]:
     return y, rows
 
 
+def _power_slope(base: np.ndarray, gamma: float) -> np.ndarray:
+    """d(base**gamma)/d(base) for gamma > 0, taken as 0 wherever base <= 0.
+    The power is evaluated only where base > 0, so a fractional gamma
+    meets no 0**(gamma - 1)."""
+    slope = np.zeros_like(base)
+    np.power(base, gamma - 1.0, out=slope, where=base > 0.0)
+    slope *= gamma
+    return slope
+
+
 def asl(s: Tensor, y: np.ndarray, cfg: ASLConfig | None = None) -> Tensor:
-    """Asymmetric loss.
+    """Asymmetric loss, as one graph node.
 
     Per class j:
 
-        -[ y_j * (1 - s_j)^gamma_pos * log(s_j)
-           + (1 - y_j) * m_j^gamma_neg * log(1 - m_j) ]
+        -[ y_j * (1 - s_j)^gamma_pos * log(max(s_j, eps))
+           + (1 - y_j) * m_j^gamma_neg * log(max(1 - m_j, eps)) ]
 
     where m_j = max(s_j - mu, 0) is the margin-shifted negative score.
-    ``bce`` is (gamma_pos, gamma_neg, mu) = (0, 0, 0) and ``focal`` is
-    (gamma, gamma, 0).  Those presets still pass s_j - 0 through the relu,
-    so a negative scored exactly 0.0 sits on the kink and gets gradient 0,
-    where the textbook BCE gradient is 1/rows.  A sigmoid returns exactly
-    0.0 only for a logit below about -745.
+    The node's backward is the closed form of d/ds_j:
+
+        y_j * [ (1 - s_j)^gamma_pos / s_j - gamma_pos (1 - s_j)^(gamma_pos-1) log s_j ]
+        + (1 - y_j) * [ gamma_neg m_j^(gamma_neg-1) log(1 - m_j) - m_j^gamma_neg / (1 - m_j) ]
+
+    scaled by -1/rows, with these conventions: a score at or below the
+    margin (s_j <= mu, the kink included) gets 0 on the negative branch;
+    below either clamp floor (s_j <= eps on a positive, 1 - m_j <= eps on
+    a negative) the log term gets 0; a power's slope is 0 where its base
+    is <= 0 and for exponent 0.  ``bce`` is (gamma_pos, gamma_neg, mu) =
+    (0, 0, 0) and ``focal`` is (gamma, gamma, 0); with mu = 0 a negative
+    scored exactly 0.0 still sits on the kink and gets gradient 0, where
+    the textbook BCE gradient is 1/rows.  A sigmoid returns exactly 0.0
+    only for a logit below about -745.
     """
     cfg = cfg or ASLConfig()
     y, rows = _check_inputs(s, y)
-    pos_mask = ad.constant(y)
-    neg_mask = ad.constant(1.0 - y)
+    x = s.data
+    not_y = 1.0 - y
 
-    one_minus_s = ad.add_scalar(ad.neg(s), 1.0)
-    pos = ad.mul(pos_mask,
-                 ad.mul(ad.power(one_minus_s, cfg.gamma_pos),
-                        ad.log(ad.clamp_min(s, cfg.eps))))
+    one_minus_s = 1.0 - x
+    s_live = x > cfg.eps
+    s_clamped = np.where(s_live, x, cfg.eps)
+    log_s = np.log(s_clamped)
+    pow_pos = np.power(one_minus_s, cfg.gamma_pos)
 
-    shifted = ad.relu(ad.add_scalar(s, -cfg.mu))
-    one_minus_shifted = ad.add_scalar(ad.neg(shifted), 1.0)
-    neg = ad.mul(neg_mask,
-                 ad.mul(ad.power(shifted, cfg.gamma_neg),
-                        ad.log(ad.clamp_min(one_minus_shifted, cfg.eps))))
+    shifted = x - cfg.mu
+    above = shifted > 0.0
+    m = np.where(above, shifted, 0.0)
+    one_minus_m = 1.0 - m
+    m_live = one_minus_m > cfg.eps
+    m_clamped = np.where(m_live, one_minus_m, cfg.eps)
+    log_m = np.log(m_clamped)
+    pow_neg = np.power(m, cfg.gamma_neg)
 
-    total = ad.sum_all(ad.add(pos, neg))
-    return ad.scale(total, -1.0 / rows)
+    terms = y * (pow_pos * log_s) + not_y * (pow_neg * log_m)
+    out = np.asarray(terms.sum()) * (-1.0 / rows)
+
+    def _bw(g: np.ndarray) -> None:
+        # live / clamped is 1/x above a floor and 0 below it
+        d_pos = pow_pos * (s_live / s_clamped)
+        d_neg = pow_neg * (m_live / m_clamped)
+        if cfg.gamma_pos:
+            d_pos -= _power_slope(one_minus_s, cfg.gamma_pos) * log_s
+        if cfg.gamma_neg:
+            d_neg -= _power_slope(m, cfg.gamma_neg) * log_m
+        _accumulate(s, (g * (-1.0 / rows)) * (y * d_pos - (not_y * above) * d_neg))
+
+    return _from_op(out, (s,), _bw)
 
 
 def bce(s: Tensor, y: np.ndarray, eps: float = 1e-8) -> Tensor:

@@ -127,13 +127,6 @@ class TestForwardValues:
         with pytest.raises(ad.ShapeError):
             ad.concat_rows(ad.constant(a3), ad.constant(b))
 
-    def test_power_zero_exponent_is_one_with_zero_grad(self):
-        x = ad.parameter(np.array([0.0, 0.5, 2.0]))
-        y = ad.power(x, 0.0)
-        np.testing.assert_array_equal(y.data, np.ones(3))
-        ad.backward(ad.sum_all(y))
-        np.testing.assert_array_equal(x.grad_or_zeros(), np.zeros(3))
-
     def test_validity_check_flags_non_finite(self):
         assert ad.constant(np.array([1.0, 2.0])).is_finite()
         assert not ad.constant(np.array([1.0, np.nan])).is_finite()
@@ -146,10 +139,10 @@ class TestBackward:
         rng = np.random.default_rng(42)
         w = ad.parameter(rng.standard_normal((4, 3)))
         x = ad.constant(rng.standard_normal((5, 4)))
-        coeffs = ad.constant(rng.standard_normal((5, 3)))
+        coeffs = rng.standard_normal((5, 3))
 
         def f():
-            return ad.sum_all(ad.mul(ad.matmul(x, w), coeffs))
+            return ad.inner_sum([ad.matmul(x, w)], [coeffs])
 
         result = ad.grad_check(f, {"w": w}, eps=1e-5)
         assert result.max_rel_error < 1e-9
@@ -165,7 +158,7 @@ class TestBackward:
             w = rng.standard_normal(np.matmul(a_val, b_val).shape)
             a = ad.parameter(a_val.copy())
             b = ad.parameter(b_val.copy())
-            loss = ad.sum_all(ad.mul(ad.matmul(a, b), ad.constant(w)))
+            loss = ad.inner_sum([ad.matmul(a, b)], [w])
             ad.backward(loss)
 
             na = numeric_grad(lambda v: ((v @ b_val) * w).sum(), a_val)
@@ -177,9 +170,9 @@ class TestBackward:
         lambda t: ad.gelu(t),
         lambda t: ad.sigmoid(t),
         lambda t: ad.softmax_rows(t),
-        lambda t: ad.relu(t),
-        lambda t: ad.power(ad.sigmoid(t), 4.0),
-        lambda t: ad.log(ad.add_scalar(ad.sigmoid(t), 0.5)),
+        lambda t: ad.reshape(ad.gelu(t), t.shape[::-1]),
+        lambda t: ad.add(ad.sigmoid(t), ad.mul(t, t)),
+        lambda t: ad.scale(ad.mul(t, ad.sigmoid(t)), -0.7),
         lambda t: ad.matmul(t, swap_last(ad.gelu(t))),
         lambda t: ad.sum_rows(ad.mul(t, ad.gelu(t))),
         lambda t: ad.broadcast_batch(ad.gelu(t), 3),
@@ -194,7 +187,7 @@ class TestBackward:
         x = ad.parameter(x_val)
 
         def f():
-            return ad.sum_all(ad.mul(op(x), ad.constant(weights)))
+            return ad.inner_sum([op(x)], [weights])
 
         result = ad.grad_check(f, {"x": x}, eps=1e-6)
         assert result.max_rel_error < 1e-6
@@ -203,7 +196,7 @@ class TestBackward:
         x3_val = rng.standard_normal((2, 4, 6))
         w3 = rng.standard_normal(op(ad.constant(x3_val)).shape)
         x3 = ad.parameter(x3_val.copy())
-        ad.backward(ad.sum_all(ad.mul(op(x3), ad.constant(w3))))
+        ad.backward(ad.inner_sum([op(x3)], [w3]))
         num = numeric_grad(lambda v: (op(ad.constant(v)).data * w3).sum(), x3_val)
         np.testing.assert_allclose(x3.grad, num, rtol=1e-6, atol=1e-9)
 
@@ -212,10 +205,10 @@ class TestBackward:
         x = ad.parameter(rng.standard_normal((3, 5)))
         gain = ad.parameter(rng.standard_normal(5))
         bias = ad.parameter(rng.standard_normal(5))
-        sel = ad.constant(rng.standard_normal((3, 5)))
+        sel = rng.standard_normal((3, 5))
 
         def f():
-            return ad.sum_all(ad.mul(ad.layer_norm_rows(x, gain, bias), sel))
+            return ad.inner_sum([ad.layer_norm_rows(x, gain, bias)], [sel])
 
         result = ad.grad_check(f, {"x": x, "gain": gain, "bias": bias}, eps=1e-6)
         assert result.max_rel_error < 1e-6
@@ -232,15 +225,15 @@ class TestBackward:
             return (y.data * sel3).sum()
 
         ts = {k: ad.parameter(v.copy()) for k, v in vals.items()}
-        ad.backward(ad.sum_all(ad.mul(
-            ad.layer_norm_rows(ts["x"], ts["gain"], ts["bias"]), ad.constant(sel3))))
+        ad.backward(ad.inner_sum([ad.layer_norm_rows(ts["x"], ts["gain"], ts["bias"])],
+                                 [sel3]))
         for k, v in vals.items():
             num = numeric_grad(lambda arr, k=k: value(**{k: arr}), v.copy())
             np.testing.assert_allclose(ts[k].grad, num, rtol=1e-6, atol=1e-9, err_msg=k)
 
     def test_slice_backward_scatters_into_zero_block(self):
         x = ad.parameter(np.arange(12.0).reshape(4, 3))
-        loss = ad.sum_all(ad.slice_rows(x, 1, 3))
+        loss = ad.inner_sum([ad.slice_rows(x, 1, 3)], [np.ones((2, 3))])
         ad.backward(loss)
         expected = np.zeros((4, 3))
         expected[1:3] = 1.0
@@ -259,7 +252,7 @@ class TestBackward:
             a = w if use_a else w.detach()
             b = w if use_b else w.detach()
             out = ad.add(ad.matmul(a, ad.constant(m)), ad.mul(b, b))
-            ad.backward(ad.sum_all(out))
+            ad.backward(ad.inner_sum([out], [np.ones((3, 3))]))
             return w.grad_or_zeros()
 
         g_both = build(True, True)
@@ -270,7 +263,7 @@ class TestBackward:
     def test_unreachable_parameter_gets_zero_gradient(self):
         used = ad.parameter(np.ones((2, 2)))
         unused = ad.parameter(np.ones((2, 2)))
-        ad.backward(ad.sum_all(ad.mul(used, used)))
+        ad.backward(ad.inner_sum([ad.mul(used, used)], [np.ones((2, 2))]))
         np.testing.assert_array_equal(unused.grad_or_zeros(), np.zeros((2, 2)))
 
     def test_backward_is_bitwise_deterministic(self):
@@ -281,7 +274,7 @@ class TestBackward:
             p = ad.parameter(vals[0].copy())
             z = ad.matmul(ad.gelu(p), ad.constant(vals[1]))
             z = ad.softmax_rows(ad.add(z, ad.constant(vals[2])))
-            ad.backward(ad.sum_all(ad.mul(z, z)))
+            ad.backward(ad.inner_sum([ad.mul(z, z)], [np.ones((4, 4))]))
             return p.grad.copy()
 
         g1, g2 = run(), run()
@@ -289,7 +282,7 @@ class TestBackward:
 
     def test_detach_blocks_gradient_flow(self):
         w = ad.parameter(np.ones((2, 2)))
-        out = ad.sum_all(ad.mul(w.detach(), w.detach()))
+        out = ad.inner_sum([ad.mul(w.detach(), w.detach())], [np.ones((2, 2))])
         ad.backward(out)
         assert w.grad is None
 
@@ -301,18 +294,18 @@ class TestBackward:
     def test_grad_check_rejects_zero_eps(self):
         w = ad.parameter(np.ones(2))
         with pytest.raises(ValueError):
-            ad.grad_check(lambda: ad.sum_all(w), {"w": w}, eps=0.0)
+            ad.grad_check(lambda: ad.inner_sum([w], [np.ones(2)]), {"w": w}, eps=0.0)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in log")
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
     def test_grad_check_reports_non_finite_with_param_name(self):
-        w = ad.parameter(np.array([1e-9]))
+        w = ad.parameter(np.array([1.0]))
 
         def f():
-            # log crosses into the negatives when w is perturbed downward
-            return ad.sum_all(ad.log(w))
+            # finite at w = 1, past the largest float once w is perturbed
+            return ad.inner_sum([ad.scale(w, 1e300)], [np.ones(1)])
 
         with pytest.raises(ad.NonFiniteError, match="w"):
-            ad.grad_check(f, {"w": w}, eps=1e-5)
+            ad.grad_check(f, {"w": w}, eps=1e9)
 
 
 class TestGraphSemantics:
@@ -321,7 +314,7 @@ class TestGraphSemantics:
         rng = np.random.default_rng(13)
         parts = [ad.parameter(rng.standard_normal((1, 4))) for _ in range(3)]
         stacked = ad.concat_rows(*parts)
-        ad.backward(ad.mean_all(stacked))
+        ad.backward(ad.inner_sum([stacked], [np.full((3, 4), 1.0 / 12)]))
         for p in parts:
             np.testing.assert_allclose(p.grad, np.full((1, 4), 1.0 / 12), rtol=1e-15)
 
@@ -329,25 +322,15 @@ class TestGraphSemantics:
         for shape in [(5, 3), (2, 5, 3)]:
             x = ad.constant(np.zeros(shape))
             b = ad.parameter(np.zeros(3))
-            ad.backward(ad.sum_all(ad.add_rowvec(x, b)))
+            ad.backward(ad.inner_sum([ad.add_rowvec(x, b)], [np.ones(shape)]))
             np.testing.assert_array_equal(b.grad, np.full(3, x.size / 3))
-
-    def test_relu_subgradient_is_zero_at_kink(self):
-        x = ad.parameter(np.array([-1.0, 0.0, 2.0]))
-        ad.backward(ad.sum_all(ad.relu(x)))
-        np.testing.assert_array_equal(x.grad, np.array([0.0, 0.0, 1.0]))
-
-    def test_clamp_min_gradient_passes_only_above_floor(self):
-        x = ad.parameter(np.array([0.5, 1.0, 2.0]))
-        ad.backward(ad.sum_all(ad.clamp_min(x, 1.0)))
-        np.testing.assert_array_equal(x.grad, np.array([0.0, 0.0, 1.0]))
 
 
 def _graph_chain(x, w, gain, bias):
     """A chain through most primitives, ending in a scalar."""
     z = ad.layer_norm_rows(ad.gelu(ad.matmul(x, w)), gain, bias)
     s = ad.softmax_rows(ad.scale(z, 0.5))
-    return ad.mean_all(ad.mul(ad.sigmoid(z), s))
+    return ad.inner_sum([ad.mul(ad.sigmoid(z), s)], [np.full(s.shape, 1.0 / s.size)])
 
 
 class TestGraphMemory:
@@ -385,7 +368,8 @@ class TestGraphMemory:
     def test_backward_frees_the_graph_and_keeps_held_grads(self):
         x, w, gain, bias = self._params()
         hidden = ad.gelu(ad.matmul(x, w))
-        loss = ad.mean_all(ad.mul(ad.layer_norm_rows(hidden, gain, bias), hidden))
+        loss = ad.inner_sum([ad.mul(ad.layer_norm_rows(hidden, gain, bias), hidden)],
+                            [np.full(hidden.shape, 1.0 / hidden.size)])
         ad.backward(loss)
         assert loss._parents == () and hidden._parents == ()
         assert hidden.grad is not None and w.grad is not None
@@ -394,7 +378,7 @@ class TestGraphMemory:
             ad.backward(loss)
         # a new loss built on a freed node fails before depositing anything
         with pytest.raises(ad.GraphFreedError):
-            ad.backward(ad.add(ad.sum_all(hidden), ad.sum_all(w)))
+            ad.backward(ad.inner_sum([hidden, w], [np.ones(hidden.shape), np.ones(w.shape)]))
         assert w.grad.tobytes() == w_grad.tobytes()
 
     def test_inner_sum_value_and_gradients_match_finite_differences(self):
@@ -407,8 +391,7 @@ class TestGraphMemory:
         np.testing.assert_allclose(
             out.data, sum((v * w).sum() for v, w in zip(vals, ws)), rtol=1e-14)
         g = rng.standard_normal(5)
-        ad.backward(ad.sum_all(ad.mul(ad.gelu(ad.scale(ad.broadcast_batch(out, 5), 0.3)),
-                                      ad.constant(g))))
+        ad.backward(ad.inner_sum([ad.gelu(ad.scale(ad.broadcast_batch(out, 5), 0.3))], [g]))
 
         def value(i, arr):
             parts = [ad.constant(arr if j == i else v) for j, v in enumerate(vals)]

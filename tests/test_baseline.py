@@ -14,6 +14,7 @@ from promptrefine.baseline import (
 from promptrefine.data import GeneratorConfig, generate_synthetic_lt, split_groups
 from promptrefine.losses import get_loss
 from promptrefine.metrics import map_report
+from promptrefine.training import Adam, run_epoch
 
 
 def tiny_data(seed=0, c=6, v=4, d0=5, n_max=40):
@@ -80,3 +81,21 @@ class TestTraining:
         _, trained = train_baseline(train_ds, test_ds, epochs=10,
                                     learning_rate=1e-2, seed=2)
         assert trained.map_total > untrained.map_total + 0.15
+
+    def test_one_training_step_builds_five_tensors(self, monkeypatch):
+        """The pooled features, matmul, bias, sigmoid and the one-node
+        loss: a step through ``run_epoch`` builds nothing else."""
+        train_ds, _ = tiny_data()
+        params = init_baseline(5, 6, seed=0)
+        adam = Adam(params.learnable(), 1e-3, 1e-4)
+        built = []
+        init = vars(ad.Tensor)["__init__"]
+
+        def counting_init(t, *a, **k):
+            built.append(t)
+            init(t, *a, **k)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        run_epoch(train_ds, 0, 0, len(train_ds),
+                  lambda batch: baseline_forward_batch(batch, params), get_loss("asl"), adam)
+        assert len(built) == 5

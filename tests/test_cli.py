@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from promptrefine.cli import main
-from promptrefine.data import load_features
+from promptrefine.cli import GEN_FLAGS, build_parser, main
+from promptrefine.data import GeneratorConfig, load_features
 from promptrefine.model import ModelDims
 from promptrefine.training import TrainConfig
 
@@ -38,6 +38,12 @@ class TestGenData:
         test = load_features(tmp_path / "data" / "test.cprf")
         assert train.c == test.c == 6
         assert len(test) == 6 * 4
+
+    def test_every_generator_field_has_a_flag_defaulting_to_it(self):
+        assert sorted(GEN_FLAGS.values()) == sorted(vars(GeneratorConfig()))
+        args = build_parser().parse_args(["gen-data", "--out", "x"])
+        got = {name: getattr(args, flag.replace("-", "_")) for flag, name in GEN_FLAGS.items()}
+        assert got == vars(GeneratorConfig())
 
     def test_bad_flag_values_fail_with_json_error(self, tmp_path, capsys):
         rc = main(["gen-data", "--out", str(tmp_path), "--classes", "0"])

@@ -194,6 +194,18 @@ class TestLoaders:
             with pytest.raises(FileFormatError, match="meta.class_names must be"):
                 load(p)
 
+    @pytest.mark.parametrize("fmt", ["features", "embeddings"])
+    def test_unknown_meta_key_is_refused(self, tmp_path, fmt):
+        write, load = FORMATS[fmt]
+        p = tmp_path / "x.bin"
+        write(p)
+        prefix, header, payload = split(p.read_bytes())
+        header["meta"]["scale"] = 1.0
+        p.write_bytes(join(prefix, header, payload))
+        with pytest.raises(FileFormatError, match=re.escape(str(p))) as info:
+            load(p)
+        assert "meta.scale" in str(info.value)
+
     def test_feature_and_label_rows_must_agree(self, tmp_path):
         p = tmp_path / "x.cprf"
         write_features(p)

@@ -1,7 +1,9 @@
 """Loss-function tests: frozen scalar values, degeneration identities,
-batch-reduction semantics, and gradient behavior at the margin kink."""
+batch-reduction semantics, and the fused node's closed-form gradient at
+the margin kink, below the clamp floors and across focusing exponents."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +129,104 @@ class TestGradients:
         s = ad.constant(np.array([0.0, 1.0, 1.0, 0.0]))
         for loss in (asl(s, y), bce(s, y), focal(s, y)):
             assert loss.is_finite()
+
+
+def oracle_grad(s_val: np.ndarray, y: np.ndarray, cfg: ASLConfig, step: float = 1e-7):
+    """Central differences of ``asl_oracle`` with respect to the scores."""
+    g = np.zeros_like(s_val)
+    for i in np.ndindex(s_val.shape):
+        up, down = s_val.copy(), s_val.copy()
+        up[i] += step
+        down[i] -= step
+        knobs = (cfg.gamma_pos, cfg.gamma_neg, cfg.mu, cfg.eps)
+        g[i] = (asl_oracle(up, y, *knobs) - asl_oracle(down, y, *knobs)) / (2 * step)
+    return g
+
+
+def node_grad(s_val: np.ndarray, y: np.ndarray, cfg: ASLConfig) -> np.ndarray:
+    s = ad.parameter(s_val.copy())
+    ad.backward(asl(s, y, cfg))
+    return s.grad_or_zeros()
+
+
+# gamma 0 makes a branch's focusing factor the constant 1, gamma 1 is the
+# plain linear factor, and 0.5 is a fractional power with an infinite
+# slope at base 0.
+FUSED_CFGS = [ASLConfig(0.0, 0.0, 0.0), ASLConfig(1.0, 1.0, 0.05),
+              ASLConfig(0.5, 0.5, 0.2), ASLConfig(0.0, 4.0, 0.05), ASLConfig(2.0, 0.5, 0.1)]
+CFG_IDS = ["gamma0", "gamma1", "gamma0.5", "asl", "mixed"]
+
+
+class TestFusedNode:
+    @pytest.mark.parametrize("cfg", FUSED_CFGS, ids=CFG_IDS)
+    @pytest.mark.parametrize("shape", [(9,), (3, 7)], ids=["vector", "matrix"])
+    def test_gradient_matches_finite_differences_of_the_oracle(self, cfg, shape):
+        rng = np.random.default_rng(8)
+        s_val = rng.uniform(0.02, 0.98, size=shape)
+        s_val[np.abs(s_val - cfg.mu) < 1e-3] += 2e-3   # keep the probes off the kink
+        y = (rng.random(shape) < 0.5).astype(float)
+        np.testing.assert_allclose(node_grad(s_val, y, cfg), oracle_grad(s_val, y, cfg),
+                                   rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("gamma_neg", [0.0, 0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("shape", [(4,), (2, 2)], ids=["vector", "matrix"])
+    def test_zero_gradient_at_and_below_the_margin(self, gamma_neg, shape):
+        """A negative scored at the kink (s == mu) or below it gets exactly 0."""
+        cfg = ASLConfig(0.0, gamma_neg, 0.2)
+        s_val = np.array([0.2, 0.2, 0.1, 0.0]).reshape(shape)
+        np.testing.assert_array_equal(node_grad(s_val, np.zeros(shape), cfg), np.zeros(shape))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("shape", [(4,), (2, 2)], ids=["vector", "matrix"])
+    def test_clamp_floors_pass_no_log_gradient(self, gamma, shape):
+        """Below its floor a branch's log is the constant log(eps): the
+        gradient is what its focusing factor alone gives, exactly 0 for
+        gamma 0, and it matches finite differences of the oracle."""
+        cfg = ASLConfig(gamma, gamma, 0.0, eps=0.01)
+        # s < eps on a positive; 1 - m < eps on a negative (m = s, mu = 0)
+        s_val = np.array([0.005, 0.002, 0.995, 0.999]).reshape(shape)
+        y = np.array([1.0, 1.0, 0.0, 0.0]).reshape(shape)
+        got = node_grad(s_val, y, cfg)
+        rows = s_val.shape[0] if s_val.ndim == 2 else 1
+        b = s_val.reshape(-1)
+        slope_pos = gamma * (1 - b[:2]) ** (gamma - 1)
+        slope_neg = gamma * b[2:] ** (gamma - 1)
+        want = -np.concatenate([-slope_pos * math.log(0.01), slope_neg * math.log(0.01)]) / rows
+        np.testing.assert_allclose(got.reshape(-1), want, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(got, oracle_grad(s_val, y, cfg, step=1e-5),
+                                   rtol=1e-6, atol=1e-9)
+        if gamma == 0.0:
+            np.testing.assert_array_equal(got, np.zeros(shape))
+
+    def test_fractional_gamma_at_saturated_scores_warns_nothing(self):
+        """s exactly 0 and 1 on both branches: the slope of a fractional
+        power is only taken where its base is > 0, so no 0**(gamma - 1)."""
+        s_val = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])
+        y = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cfg in (ASLConfig(0.5, 3.0, 0.2), ASLConfig(0.5, 0.5, 0.0)):
+                s = ad.parameter(s_val.copy())
+                loss = asl(s, y, cfg)
+                ad.backward(loss)
+                assert loss.is_finite() and np.isfinite(s.grad).all()
+
+    def test_each_call_builds_one_tensor(self, monkeypatch):
+        """The loss is one graph node: no constants, no intermediates."""
+        built = []
+        init = vars(ad.Tensor)["__init__"]
+
+        def counting_init(t, *a, **k):
+            built.append(t)
+            init(t, *a, **k)
+
+        s = ad.parameter(np.full((3, 4), 0.3))
+        y = np.eye(3, 4)
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        for loss in (lambda: asl(s, y), lambda: bce(s, y), lambda: focal(s, y)):
+            built.clear()
+            out = loss()
+            assert built == [out]
 
 
 class TestValidationAndRegistry:

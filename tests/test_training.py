@@ -456,7 +456,7 @@ class TestTrainingLoop:
     def test_non_finite_loss_names_epoch_and_batch(self, tmp_path, monkeypatch):
         """Both trainers share the epoch loop and its non-finite check."""
         def nan_loss(name, loss_cfg=None):
-            return lambda s, y: ad.scale(ad.sum_all(s), float("nan"))
+            return lambda s, y: ad.scale(ad.inner_sum([s], [np.ones(s.shape)]), float("nan"))
 
         monkeypatch.setattr(training, "get_loss", nan_loss)
         monkeypatch.setattr(baseline, "get_loss", nan_loss)
