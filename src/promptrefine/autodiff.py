@@ -13,9 +13,9 @@ the same inputs always produce bitwise-identical outputs and gradients.
 
 Tensors are batch-first: every axis before the last two (or before the
 last one, for row-vector ops) is a *leading* axis, and the row-wise ops
-(``matmul``, ``add_rowvec``, ``softmax_rows``, ``layer_norm_rows``,
-``sum_rows``, ``concat_rows``, ``slice_rows``) act on each leading-axis
-slice independently.  Shapes are otherwise strict.  The only implicit
+(``matmul``, ``add_rowvec``, ``layer_norm_rows``, ``attention``,
+``sum_rows``, ``concat_rows``) act on each leading-axis slice
+independently.  Shapes are otherwise strict.  The only implicit
 broadcast is of a parameter across leading axes: a 2-d ``matmul``
 right operand, the vector of ``add_rowvec`` and the ``layer_norm_rows``
 gain and bias apply to every slice, and their gradients are summed over
@@ -59,11 +59,9 @@ __all__ = [
     "scale",
     "gelu",
     "sigmoid",
-    "softmax_rows",
     "layer_norm_rows",
+    "attention",
     "concat_rows",
-    "slice_rows",
-    "transpose",
     "reshape",
     "sum_rows",
     "inner_sum",
@@ -311,22 +309,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _from_op(s, (x,), _bw)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis with max subtraction for stability.
-
-    Backward: dX = S * (G - rowsum(G * S)), the standard Jacobian action.
-    """
-    s = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-
-    def _bw(g: np.ndarray) -> None:
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        _accumulate(x, s * (g - inner))
-
-    return _from_op(s, (x,), _bw)
-
-
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis with learnable gain and bias.
 
@@ -360,6 +342,70 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     return _from_op(out_data, (x, gain, bias), _bw)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node:
+    (..., nq, d) queries over (..., nk, d) keys and values -> (..., nq, d).
+
+    Head h owns columns h*dh..(h+1)*dh of each operand, dh = d / heads;
+    its weights are S = softmax(q_h @ k_h^T / sqrt(dh)) over the keys,
+    with the row max subtracted for stability, and it writes S @ v_h into
+    its columns of the output.  The heads are a leading axis inside the
+    node, (..., heads, n, dh).  Backward, per head, with G the output
+    gradient:
+
+        dS = G @ v_h^T,   dv_h = S^T @ G,
+        dA = S * (dS - rowsum(dS * S)) / sqrt(dh),
+        dq_h = dA @ k_h,  dk_h = dA^T @ q_h.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if (qd.ndim < 2 or kd.shape != vd.shape or kd.shape[:-2] != qd.shape[:-2]
+            or kd.shape[-1] != qd.shape[-1]):
+        raise ShapeError(f"attention needs (..., nq, d) queries over equal (..., nk, d) "
+                         f"keys and values, got {q.shape}, {k.shape} and {v.shape}")
+    *lead, nq, d = qd.shape
+    nk = kd.shape[-2]
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention width {d} does not split into {heads} heads")
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+
+    # The per-head operands are contiguous copies, so every product is the
+    # same BLAS call, bit for bit, as in the unfused composite of reshape,
+    # transpose, matmul and softmax nodes.
+    def split(x: np.ndarray, n: int) -> np.ndarray:
+        # (..., n, d) -> contiguous (..., heads, n, dh)
+        return np.swapaxes(x.reshape(*lead, n, heads, dh), -3, -2).copy()
+
+    qh, vh = split(qd, nq), split(vd, nk)
+    kt = np.swapaxes(split(kd, nk), -1, -2).copy()   # (..., heads, dh, nk)
+    s = qh @ kt
+    s *= c
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        # (..., heads, n, dh) -> (..., n, d)
+        return np.swapaxes(x, -3, -2).reshape(*lead, x.shape[-2], d)
+
+    def _bw(g: np.ndarray) -> None:
+        gh = split(g, nq)
+        if q.requires_grad or k.requires_grad:
+            da = gh @ np.swapaxes(vh, -1, -2)
+            da -= (da * s).sum(axis=-1, keepdims=True)
+            da *= s
+            da *= c
+            if q.requires_grad:
+                _accumulate(q, merge(da @ np.swapaxes(kt, -1, -2)))
+            if k.requires_grad:
+                dkt = np.swapaxes(qh, -1, -2) @ da   # (..., heads, dh, nk)
+                _accumulate(k, merge(np.swapaxes(dkt, -1, -2)))
+        if v.requires_grad:
+            _accumulate(v, merge(np.swapaxes(s, -1, -2) @ gh))
+
+    return _from_op(merge(s @ vh), (q, k, v), _bw)
+
+
 def concat_rows(*parts: Tensor) -> Tensor:
     """Concatenate tensors along axis -2 (rows); every other axis must match."""
     if len(parts) < 2:
@@ -376,35 +422,6 @@ def concat_rows(*parts: Tensor) -> Tensor:
             _accumulate(p, g[..., a:b, :])
 
     return _from_op(np.concatenate([p.data for p in parts], axis=-2), tuple(parts), _bw)
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows start..stop (half-open) along axis -2.
-
-    Backward scatters the gradient into an otherwise-zero block.
-    """
-    if x.data.ndim < 2 or not (0 <= start < stop <= x.shape[-2]):
-        raise ShapeError(f"slice_rows [{start}:{stop}] out of range for {x.shape}")
-
-    def _bw(g: np.ndarray) -> None:
-        full = np.zeros_like(x.data)
-        full[..., start:stop, :] = g
-        _accumulate(x, full)
-
-    return _from_op(x.data[..., start:stop, :].copy(), (x,), _bw)
-
-
-def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    """Permute the axes as ``np.transpose`` does; by default reverse them,
-    which for a matrix is the plain transpose."""
-    if axes is not None and sorted(axes) != list(range(x.data.ndim)):
-        raise ShapeError(f"transpose axes {axes} do not permute the axes of {x.shape}")
-    inverse = None if axes is None else tuple(sorted(range(len(axes)), key=axes.__getitem__))
-
-    def _bw(g: np.ndarray) -> None:
-        _accumulate(x, np.transpose(g, inverse))
-
-    return _from_op(np.transpose(x.data, axes).copy(), (x,), _bw)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -551,9 +568,9 @@ def grad_check(f: Callable[[], Tensor],
             for i in range(flat.size):
                 saved = flat[i]
                 flat[i] = saved + eps
-                up = float(f().data)
+                up = f().data.item()
                 flat[i] = saved - eps
-                down = float(f().data)
+                down = f().data.item()
                 flat[i] = saved
                 if not (math.isfinite(up) and math.isfinite(down)):
                     raise NonFiniteError(

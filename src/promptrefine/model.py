@@ -7,12 +7,13 @@ the similarity between its refined prompt and its initial prompt:
 
     F  = f_loc @ W_proj + b_proj                      visual tokens -> joint space
     P  = gelu(W_emb @ W1 + b1) @ W2 + b2              prompt initialization
-    P' = interaction(concat_rows(F, P))[prompt rows]  visual-semantic refinement
+    P' = interaction(P, concat_rows(F, P))            visual-semantic refinement
     s  = sigmoid(rowwise_dot(P', P))                  per-class probability
 
-Two interaction variants are provided.  The default is a standard
-post-norm encoder layer (multi-head self-attention, residual, layer norm,
-GELU feed-forward, residual, layer norm).  With ``literal_equations=True``
+Two interaction variants are provided.  The default is the prompt rows
+of a standard post-norm encoder layer over Z = [F; P] (multi-head
+self-attention, residual, layer norm, GELU feed-forward, residual, layer
+norm); only those rows are computed.  With ``literal_equations=True``
 the layer is stripped to single-head cross-attention from prompts to all
 tokens followed by the feed-forward alone — no residuals, norms, or output
 projection — matching the bare update equations the design came from.
@@ -22,9 +23,9 @@ permutations of the class axis, which the tests rely on.
 
 The stages are batch-first: a batch is one graph over stacked arrays,
 F of shape (B, v, d) and P broadcast to (B, c, d), and attention heads
-are one more leading axis.  Every leading-axis slice is computed by the
-same per-slice products as a batch of one, so a sample's scores do not
-depend on the batch it is scored in.
+are one more leading axis inside the attention node.  Every leading-axis
+slice is computed by the same per-slice products as a batch of one, so a
+sample's scores do not depend on the batch it is scored in.
 """
 
 from __future__ import annotations
@@ -271,61 +272,37 @@ def init_prompts(embedding: SemanticEmbedding, pi: PromptInitParams) -> Tensor:
     return ad.add_rowvec(ad.matmul(hidden, pi.w2), pi.b2)
 
 
-def _swap_axes(x: Tensor, i: int, j: int) -> Tensor:
-    axes = list(range(x.data.ndim))
-    axes[i], axes[j] = axes[j], axes[i]
-    return ad.transpose(x, tuple(axes))
-
-
-def _attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Scaled dot-product attention over (..., n, d) tensors with per-head
-    scaling 1/sqrt(d/heads).  Head h owns columns h*dh..(h+1)*dh; the heads
-    become a leading axis, (..., heads, n, dh), and merge back after."""
-    *lead, n, d = q.shape
-    dh = d // heads
-    qh, kh, vh = (_swap_axes(ad.reshape(t, (*lead, n, heads, dh)), -3, -2)
-                  for t in (q, k, v))
-    weights = ad.softmax_rows(ad.scale(ad.matmul(qh, _swap_axes(kh, -1, -2)),
-                                       1.0 / math.sqrt(dh)))
-    return ad.reshape(_swap_axes(ad.matmul(weights, vh), -3, -2), (*lead, n, d))
-
-
 def vsi_forward(F: Tensor, P: Tensor, inter: InteractionParams,
                 literal_equations: bool = False) -> Tensor:
     """Visual-semantic interaction: refine the prompts against the tokens.
 
     ``F`` is (..., v, d) and ``P`` is (..., c, d) with the same leading
-    axes; the result has the shape of ``P``.  Standard path: one post-norm
-    encoder layer over Z = [F; P], returning the prompt rows.  Literal
-    path: single-head attention with prompt queries over all of Z (scale
-    1/sqrt(d)), then the feed-forward — nothing else.
+    axes; the result has the shape of ``P``.  On both paths the queries
+    come from the prompt rows only, and the keys and values from all of
+    Z = [F; P].  Standard path: the prompt rows of one post-norm encoder
+    layer over Z.  Every stage after attention (output map, residual,
+    norms, feed-forward) is row-wise, so the visual rows' outputs never
+    reach a prompt row; they are not computed, and the result is exactly
+    the prompt rows of the full layer.  Literal path: single-head
+    attention (scale 1/sqrt(d)), then the feed-forward — nothing else.
     """
     if F.shape[:-2] != P.shape[:-2] or F.shape[-1] != P.shape[-1]:
         raise ad.ShapeError(f"tokens {F.shape} and prompts {P.shape} disagree on "
                             "leading axes or width")
-    n_vis, n_cls = F.shape[-2], P.shape[-2]
     z = ad.concat_rows(F, P)
-
+    k, v = ad.matmul(z, inter.w_k), ad.matmul(z, inter.w_v)
+    del z   # under no_grad nothing else holds it: scoring peaks lower
+    attn = ad.attention(ad.matmul(P, inter.w_q), k, v,
+                        1 if literal_equations else inter.heads)
     if literal_equations:
-        q = ad.matmul(P, inter.w_q)
-        k = ad.matmul(z, inter.w_k)
-        v = ad.matmul(z, inter.w_v)
-        d = q.shape[-1]
-        weights = ad.softmax_rows(ad.scale(ad.matmul(q, _swap_axes(k, -1, -2)),
-                                           1.0 / math.sqrt(d)))
-        pooled = ad.matmul(weights, v)
-        hidden = ad.gelu(ad.add_rowvec(ad.matmul(pooled, inter.w_ffn_in), inter.b_ffn_in))
+        hidden = ad.gelu(ad.add_rowvec(ad.matmul(attn, inter.w_ffn_in), inter.b_ffn_in))
         return ad.add_rowvec(ad.matmul(hidden, inter.w_ffn_out), inter.b_ffn_out)
 
-    q = ad.matmul(z, inter.w_q)
-    k = ad.matmul(z, inter.w_k)
-    v = ad.matmul(z, inter.w_v)
-    attn = ad.matmul(_attention(q, k, v, inter.heads), inter.w_attn_out)
-    z1 = ad.layer_norm_rows(ad.add(z, attn), inter.ln1_gain, inter.ln1_bias, eps=LN_EPS)
+    z1 = ad.layer_norm_rows(ad.add(P, ad.matmul(attn, inter.w_attn_out)),
+                            inter.ln1_gain, inter.ln1_bias, eps=LN_EPS)
     hidden = ad.gelu(ad.add_rowvec(ad.matmul(z1, inter.w_ffn_in), inter.b_ffn_in))
     ffn = ad.add_rowvec(ad.matmul(hidden, inter.w_ffn_out), inter.b_ffn_out)
-    z2 = ad.layer_norm_rows(ad.add(z1, ffn), inter.ln2_gain, inter.ln2_bias, eps=LN_EPS)
-    return ad.slice_rows(z2, n_vis, n_vis + n_cls)
+    return ad.layer_norm_rows(ad.add(z1, ffn), inter.ln2_gain, inter.ln2_bias, eps=LN_EPS)
 
 
 def classify(p_refined: Tensor, p_initial: Tensor) -> Tensor:

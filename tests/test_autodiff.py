@@ -28,11 +28,9 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def swap_last(t):
-    """Transpose of the last two axes, whatever the rank."""
-    axes = list(range(t.data.ndim))
-    axes[-2], axes[-1] = axes[-1], axes[-2]
-    return ad.transpose(t, tuple(axes))
+def swap_lengths(t):
+    """The last two axes' lengths swapped by a reshape, whatever the rank."""
+    return ad.reshape(t, t.shape[:-2] + t.shape[:-3:-1])
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -88,19 +86,6 @@ class TestForwardValues:
         assert s[0] == 0.0 or s[0] < 1e-300
         assert s[1] == 1.0
 
-    def test_softmax_rows_sum_to_one_and_shift_invariance(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((6, 9)) * 10
-        s = ad.softmax_rows(ad.constant(x)).data
-        np.testing.assert_allclose(s.sum(axis=1), np.ones(6), rtol=0, atol=1e-14)
-        shifted = ad.softmax_rows(ad.constant(x + 123.0)).data
-        np.testing.assert_allclose(s, shifted, rtol=1e-12)
-
-    def test_softmax_scalar_oracle(self):
-        # softmax([0, ln 3]) = [1/4, 3/4], computed by hand.
-        s = ad.softmax_rows(ad.constant(np.array([[0.0, math.log(3.0)]]))).data
-        np.testing.assert_allclose(s, [[0.25, 0.75]], rtol=1e-14)
-
     def test_layer_norm_rows_standardizes(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((4, 8)) * 3 + 2
@@ -115,15 +100,15 @@ class TestForwardValues:
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((2, 4))
         z = ad.concat_rows(ad.constant(a), ad.constant(b))
-        np.testing.assert_array_equal(ad.slice_rows(z, 0, 3).data, a)
-        np.testing.assert_array_equal(ad.slice_rows(z, 3, 5).data, b)
+        np.testing.assert_array_equal(z.data[:3], a)
+        np.testing.assert_array_equal(z.data[3:], b)
         # leading axes ride along: rows are axis -2 of every slice
         a3 = rng.standard_normal((2, 3, 4))
         b3 = rng.standard_normal((2, 2, 4))
         z3 = ad.concat_rows(ad.constant(a3), ad.constant(b3))
         assert z3.shape == (2, 5, 4)
-        np.testing.assert_array_equal(ad.slice_rows(z3, 0, 3).data, a3)
-        np.testing.assert_array_equal(ad.slice_rows(z3, 3, 5).data, b3)
+        np.testing.assert_array_equal(z3.data[:, :3], a3)
+        np.testing.assert_array_equal(z3.data[:, 3:], b3)
         with pytest.raises(ad.ShapeError):
             ad.concat_rows(ad.constant(a3), ad.constant(b))
 
@@ -169,15 +154,16 @@ class TestBackward:
     @pytest.mark.parametrize("op", [
         lambda t: ad.gelu(t),
         lambda t: ad.sigmoid(t),
-        lambda t: ad.softmax_rows(t),
+        lambda t: ad.attention(t, ad.gelu(t), t, 2),
         lambda t: ad.reshape(ad.gelu(t), t.shape[::-1]),
         lambda t: ad.add(ad.sigmoid(t), ad.mul(t, t)),
         lambda t: ad.scale(ad.mul(t, ad.sigmoid(t)), -0.7),
-        lambda t: ad.matmul(t, swap_last(ad.gelu(t))),
+        lambda t: ad.matmul(t, swap_lengths(ad.gelu(t))),
         lambda t: ad.sum_rows(ad.mul(t, ad.gelu(t))),
         lambda t: ad.broadcast_batch(ad.gelu(t), 3),
-        lambda t: ad.slice_rows(ad.concat_rows(t, ad.gelu(t)), 1, 5),
-        lambda t: ad.transpose(ad.gelu(t), tuple(range(1, t.data.ndim)) + (0,)),
+        lambda t: ad.concat_rows(t, ad.gelu(t), ad.sigmoid(t)),
+        lambda t: ad.attention(ad.sigmoid(t), ad.concat_rows(t, ad.gelu(t)),
+                               ad.concat_rows(t, t), 3),
     ])
     def test_elementwise_chains_match_finite_differences(self, op):
         rng = np.random.default_rng(9)
@@ -231,14 +217,6 @@ class TestBackward:
             num = numeric_grad(lambda arr, k=k: value(**{k: arr}), v.copy())
             np.testing.assert_allclose(ts[k].grad, num, rtol=1e-6, atol=1e-9, err_msg=k)
 
-    def test_slice_backward_scatters_into_zero_block(self):
-        x = ad.parameter(np.arange(12.0).reshape(4, 3))
-        loss = ad.inner_sum([ad.slice_rows(x, 1, 3)], [np.ones((2, 3))])
-        ad.backward(loss)
-        expected = np.zeros((4, 3))
-        expected[1:3] = 1.0
-        np.testing.assert_array_equal(x.grad, expected)
-
     def test_multi_use_gradient_is_sum_of_single_site_gradients(self):
         """Using a tensor at k sites accumulates the sum of the k per-site
         gradients, where each per-site gradient is measured by detaching
@@ -273,7 +251,8 @@ class TestBackward:
         def run():
             p = ad.parameter(vals[0].copy())
             z = ad.matmul(ad.gelu(p), ad.constant(vals[1]))
-            z = ad.softmax_rows(ad.add(z, ad.constant(vals[2])))
+            z = ad.add(z, ad.constant(vals[2]))
+            z = ad.attention(z, z, p, 2)
             ad.backward(ad.inner_sum([ad.mul(z, z)], [np.ones((4, 4))]))
             return p.grad.copy()
 
@@ -295,6 +274,12 @@ class TestBackward:
         w = ad.parameter(np.ones(2))
         with pytest.raises(ValueError):
             ad.grad_check(lambda: ad.inner_sum([w], [np.ones(2)]), {"w": w}, eps=0.0)
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 1)])
+    def test_grad_check_takes_a_size_one_loss_of_any_rank(self, shape):
+        w = ad.parameter(np.full(shape, 0.5))
+        result = ad.grad_check(lambda: ad.scale(ad.mul(w, w), 2.0), {"w": w})
+        assert result.n_entries == 1 and result.max_rel_error < 1e-9
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
     def test_grad_check_reports_non_finite_with_param_name(self):
@@ -326,10 +311,99 @@ class TestGraphSemantics:
             np.testing.assert_array_equal(b.grad, np.full(3, x.size / 3))
 
 
+def attention_oracle(q, k, v, heads):
+    """Per-slice, per-head loop over plain numpy: softmax(q_h k_h^T / sqrt(dh)) v_h."""
+    *lead, nq, d = q.shape
+    dh = d // heads
+    q2, k2, v2 = (x.reshape(-1, *x.shape[-2:]) for x in (q, k, v))
+    out = np.zeros(q2.shape)
+    for i in range(q2.shape[0]):
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            scores = q2[i][:, cols] @ k2[i][:, cols].T / math.sqrt(dh)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            out[i][:, cols] = (e / e.sum(axis=1, keepdims=True)) @ v2[i][:, cols]
+    return out.reshape(q.shape)
+
+
+def attention_weights(q, k, heads):
+    """Each head's attention weights, read off as the output for values
+    that are one identity matrix per head; the width must be heads * nk."""
+    nk = k.shape[-2]
+    v = np.broadcast_to(np.tile(np.eye(nk), (1, heads)), k.shape[:-2] + (nk, heads * nk))
+    return ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), heads).data
+
+
+class TestAttention:
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("frozen", [None, "q", "k", "v"])
+    def test_gradients_match_finite_differences(self, heads, lead, frozen):
+        rng = np.random.default_rng(heads * 10 + len(lead))
+        shapes = {"q": lead + (3, 8), "k": lead + (5, 8), "v": lead + (5, 8)}
+        ts = {n: (ad.constant if n == frozen else ad.parameter)(rng.standard_normal(sh))
+              for n, sh in shapes.items()}
+        weights = rng.standard_normal(shapes["q"])
+
+        def f():
+            return ad.inner_sum([ad.attention(ts["q"], ts["k"], ts["v"], heads)], [weights])
+
+        result = ad.grad_check(f, ts, eps=1e-6)
+        assert result.max_rel_error < 1e-6, result
+        assert result.n_entries == sum(t.size for t in ts.values() if t.requires_grad)
+        if frozen is not None:
+            assert ts[frozen].grad is None
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_forward_matches_per_head_loop(self, heads, lead):
+        rng = np.random.default_rng(heads + 7 * len(lead))
+        q = rng.standard_normal(lead + (4, 8))
+        k = rng.standard_normal(lead + (6, 8))
+        v = rng.standard_normal(lead + (6, 8))
+        got = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), heads).data
+        np.testing.assert_allclose(got, attention_oracle(q, k, v, heads), rtol=1e-12,
+                                   atol=1e-14)
+
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_weights_rows_sum_to_one_and_shift_invariance(self, heads):
+        rng = np.random.default_rng(3)
+        q = rng.standard_normal((2, 6, 9 * heads)) * 10
+        k = rng.standard_normal((2, 9, 9 * heads)) * 10
+        s = attention_weights(q, k, heads)
+        np.testing.assert_allclose(s.reshape(2, 6, heads, 9).sum(axis=-1),
+                                   np.ones((2, 6, heads)), rtol=0, atol=1e-14)
+        # one vector added to every key shifts each score row by a constant
+        shifted = attention_weights(q, k + rng.standard_normal(9 * heads) * 10, heads)
+        np.testing.assert_allclose(s, shifted, rtol=1e-12)
+
+    def test_weights_scalar_oracle(self):
+        # scores [0, ln 3] give weights [1/4, 3/4], computed by hand.
+        root2 = math.sqrt(2.0)
+        s = attention_weights(np.array([[root2, 0.0]]),
+                              np.array([[0.0, 0.0], [math.log(3.0), 0.0]]), 1)
+        np.testing.assert_allclose(s, [[0.25, 0.75]], rtol=1e-14)
+
+    @pytest.mark.parametrize("q_shape, k_shape, v_shape, heads", [
+        ((3, 4), (5, 4), (6, 4), 1),        # keys and values disagree
+        ((3, 4), (5, 4), (5, 2), 1),
+        ((3, 6), (5, 6), (5, 6), 4),        # width does not split into the heads
+        ((3, 4), (5, 4), (5, 4), 0),
+        ((2, 3, 4), (3, 5, 4), (3, 5, 4), 2),   # leading axes differ
+        ((3, 4), (2, 5, 4), (2, 5, 4), 2),
+        ((3, 4), (5, 2), (5, 2), 1),        # queries and keys differ in width
+        ((4,), (5, 4), (5, 4), 1),
+    ])
+    def test_shape_errors(self, q_shape, k_shape, v_shape, heads):
+        q, k, v = (ad.parameter(np.zeros(sh)) for sh in (q_shape, k_shape, v_shape))
+        with pytest.raises(ad.ShapeError):
+            ad.attention(q, k, v, heads)
+
+
 def _graph_chain(x, w, gain, bias):
     """A chain through most primitives, ending in a scalar."""
     z = ad.layer_norm_rows(ad.gelu(ad.matmul(x, w)), gain, bias)
-    s = ad.softmax_rows(ad.scale(z, 0.5))
+    s = ad.attention(ad.scale(z, 0.5), z, z, 1)
     return ad.inner_sum([ad.mul(ad.sigmoid(z), s)], [np.full(s.shape, 1.0 / s.size)])
 
 

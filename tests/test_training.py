@@ -398,6 +398,34 @@ class TestTrainingLoop:
         b = open(r2.final_checkpoint, "rb").read()
         assert a == b
 
+    @pytest.mark.parametrize("literal, nodes", [(False, 28), (True, 23)])
+    def test_one_training_step_builds_a_fixed_number_of_tensors(self, monkeypatch,
+                                                                 literal, nodes):
+        """Queries and every stage after attention run on the prompt rows
+        only, and attention is one node.  Per step: projection 3, prompt
+        net 5, broadcast 1, [F; P] 1, q/k/v 3, attention 1, feed-forward 5,
+        classifier 3, loss 1; the standard path adds the output map, two
+        residuals and two norms."""
+        from promptrefine.data import embedding_provider
+        from promptrefine.losses import get_loss
+        from promptrefine.model import init_model
+        train_ds, _ = tiny_data()
+        emb = embedding_provider("random", c=6, m=7, seed=0,
+                                 class_names=train_ds.class_names)
+        params = init_model(tiny_config().dims, emb, seed=0, literal_equations=literal)
+        adam = Adam(params.learnable(), 1e-3, 1e-4)
+        built = []
+        init = vars(ad.Tensor)["__init__"]
+
+        def counting_init(t, *a, **k):
+            built.append(t)
+            init(t, *a, **k)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        training.run_epoch(train_ds, 0, 0, len(train_ds),
+                           lambda batch: forward_batch(batch, params), get_loss("asl"), adam)
+        assert len(built) == nodes
+
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         cfg = tiny_config(epochs=4)
         train_ds, test_ds = tiny_data()
