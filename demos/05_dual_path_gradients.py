@@ -5,11 +5,11 @@ Run with:  python3 demos/05_dual_path_gradients.py
 The initial prompts P enter the forward pass twice: once into the
 transformer interaction (which refines them against the visual features)
 and once directly as the classifier's per-class weight vectors, since the
-score of class i is sigmoid(<refined_i, initial_i> / tau).  Backward
-therefore accumulates two contributions into P.  Detaching one use at a
-time isolates the other, and the two isolated gradients must sum to the
-joint one exactly — accumulation is plain addition, so the identity holds
-to roundoff, not approximately.
+score of class i is sigmoid(<refined_i, initial_i>), with no temperature.
+Backward therefore accumulates two contributions into P.  Each use reads
+its own copy of P, so one backward pass leaves each route's gradient on
+its copy, and P receives their sum: the two route gradients sum to the
+joint one exactly, bit for bit, because accumulation is plain addition.
 """
 
 import numpy as np

@@ -77,6 +77,8 @@ FORMAT_VERSION = 2
 DTYPES = ("<f8", "<f4", "|u1")
 FEATURE_SCHEMA = {"features": ("<f4", 3), "labels": ("|u1", 2)}
 EMBEDDING_SCHEMA = {"W": ("<f4", 2)}
+HEAD_MIN = 100   # split_groups: more training positives than this -> head
+TAIL_MAX = 20    # fewer than this -> tail
 
 
 class FileFormatError(ValueError):
@@ -152,16 +154,14 @@ class LongTailDataset:
         return self.labels.astype(np.int64)
 
 
-def split_groups(class_counts, head_min: int = 100, tail_max: int = 20) -> list:
+def split_groups(class_counts) -> list:
     """Tag each class head/medium/tail by its training-positive count:
-    count > head_min -> head, count < tail_max -> tail, otherwise medium."""
-    if not head_min > tail_max >= 1:
-        raise ValueError(f"need head_min > tail_max >= 1, got {head_min}, {tail_max}")
+    count > HEAD_MIN -> head, count < TAIL_MAX -> tail, otherwise medium."""
     out = []
     for n in np.asarray(class_counts):
-        if n > head_min:
+        if n > HEAD_MIN:
             out.append("head")
-        elif n < tail_max:
+        elif n < TAIL_MAX:
             out.append("tail")
         else:
             out.append("medium")

@@ -21,6 +21,12 @@ projection — matching the bare update equations the design came from.
 No positional encodings anywhere: the forward pass is equivariant under
 permutations of the class axis, which the tests rely on.
 
+Each learnable tensor is declared once, in ``param_shapes``: its name
+(also its checkpoint name), shape and init rule.  ``ModelParams`` holds
+the tensors by those names, checked against the table; ``init_model``
+draws them in the table's order, and the stage functions read them by
+name.
+
 The stages are batch-first: a batch is one graph over stacked arrays,
 F of shape (B, v, d) and P broadcast to (B, c, d), and attention heads
 are one more leading axis inside the attention node.  Every leading-axis
@@ -43,10 +49,7 @@ __all__ = [
     "LN_EPS",
     "ModelDims",
     "SemanticEmbedding",
-    "Projection",
-    "PromptInitParams",
-    "InteractionParams",
-    "PromptSet",
+    "param_shapes",
     "ModelParams",
     "init_model",
     "project_features",
@@ -54,7 +57,6 @@ __all__ = [
     "vsi_forward",
     "classify",
     "forward",
-    "forward_with_prompts",
     "forward_batch",
     "dual_path_grads",
 ]
@@ -114,166 +116,106 @@ class SemanticEmbedding:
         return self.W.shape[1]
 
 
-@dataclass
-class Projection:
-    """Linear map of raw visual tokens into the joint space."""
+def param_shapes(dims: ModelDims, embedding: SemanticEmbedding) -> dict:
+    """Every learnable tensor: name -> (shape, init), in draw order.
 
-    w: Tensor  # (d0, d)
-    b: Tensor  # (d,)
-
-
-@dataclass
-class PromptInitParams:
-    """Two-layer GELU net mapping embeddings to initial prompts."""
-
-    w1: Tensor  # (m, t)
-    b1: Tensor  # (t,)
-    w2: Tensor  # (t, d)
-    b2: Tensor  # (d,)
-    tau: float = 0.5
-
-    def __post_init__(self):
-        t, d = self.w1.shape[1], self.w2.shape[1]
-        if self.w2.shape[0] != t:
-            raise ad.ShapeError(f"w1 {self.w1.shape} and w2 {self.w2.shape} disagree on t")
-        if round(self.tau * d) != t:
-            raise ValueError(
-                f"hidden width {t} != round(tau*d) = {round(self.tau * d)} for tau={self.tau}, d={d}")
-
-
-@dataclass
-class InteractionParams:
-    """One encoder layer: joint QKV maps (d, d) across all heads, an
-    attention output map, a GELU feed-forward, and two layer norms."""
-
-    w_q: Tensor
-    w_k: Tensor
-    w_v: Tensor
-    w_attn_out: Tensor
-    w_ffn_in: Tensor   # (d, ffn)
-    b_ffn_in: Tensor   # (ffn,)
-    w_ffn_out: Tensor  # (ffn, d)
-    b_ffn_out: Tensor  # (d,)
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    ln2_gain: Tensor
-    ln2_bias: Tensor
-    heads: int = 1
-
-    def __post_init__(self):
-        d = self.w_q.shape[0]
-        for name in ("w_q", "w_k", "w_v", "w_attn_out"):
-            if getattr(self, name).shape != (d, d):
-                raise ad.ShapeError(f"{name} must be ({d}, {d}), got {getattr(self, name).shape}")
-        if d % self.heads != 0:
-            raise ValueError(f"d={d} not divisible by heads={self.heads}")
-
-
-@dataclass
-class PromptSet:
-    """The prompts of one forward pass: as initialized and as refined."""
-
-    initial: Tensor
-    refined: Tensor
+    ``init`` is a fan-in (uniform in +/- 1/sqrt(fan_in)), ``"zeros"`` or
+    ``"ones"``.  The names are the checkpoint's tensor names: the
+    projection, the two-layer GELU prompt net (hidden width t), and one
+    encoder layer with joint QKV maps (d, d) across all heads, an
+    attention output map, a GELU feed-forward and two layer norms.
+    """
+    d0, d, t, ffn, m = dims.d0, dims.d, dims.t, dims.ffn, embedding.m
+    return {
+        "projection.w": ((d0, d), d0),
+        "projection.b": ((d,), "zeros"),
+        "prompt_init.w1": ((m, t), m),
+        "prompt_init.b1": ((t,), "zeros"),
+        "prompt_init.w2": ((t, d), t),
+        "prompt_init.b2": ((d,), "zeros"),
+        **{f"interaction.{name}": ((d, d), d)
+           for name in ("w_q", "w_k", "w_v", "w_attn_out")},
+        "interaction.w_ffn_in": ((d, ffn), d),
+        "interaction.b_ffn_in": ((ffn,), "zeros"),
+        "interaction.w_ffn_out": ((ffn, d), ffn),
+        "interaction.b_ffn_out": ((d,), "zeros"),
+        "interaction.ln1_gain": ((d,), "ones"),
+        "interaction.ln1_bias": ((d,), "zeros"),
+        "interaction.ln2_gain": ((d,), "ones"),
+        "interaction.ln2_bias": ((d,), "zeros"),
+    }
 
 
 @dataclass
 class ModelParams:
+    """The model: its dims, the frozen embedding, and one tensor per
+    ``param_shapes`` entry, by name."""
+
     dims: ModelDims
     embedding: SemanticEmbedding
-    projection: Projection
-    prompt_init: PromptInitParams
-    interaction: InteractionParams
+    tensors: dict
     literal_equations: bool = False
 
+    def __post_init__(self):
+        if self.embedding.c != self.dims.c:
+            raise ValueError(f"embedding has {self.embedding.c} classes, dims.c = {self.dims.c}")
+        table = param_shapes(self.dims, self.embedding)
+        if self.tensors.keys() != table.keys():
+            raise ValueError(f"model tensors must be {sorted(table)}, got {sorted(self.tensors)}")
+        for name, (shape, _) in table.items():
+            if self.tensors[name].shape != shape:
+                raise ad.ShapeError(f"{name} must be {shape}, got {self.tensors[name].shape}")
+        self.tensors = {name: self.tensors[name] for name in table}
+
     def learnable(self) -> dict:
-        """Stable name -> tensor map of every trainable leaf (the frozen
-        embedding is excluded)."""
-        out = {
-            "projection.w": self.projection.w,
-            "projection.b": self.projection.b,
-            "prompt_init.w1": self.prompt_init.w1,
-            "prompt_init.b1": self.prompt_init.b1,
-            "prompt_init.w2": self.prompt_init.w2,
-            "prompt_init.b2": self.prompt_init.b2,
-        }
-        for name in ("w_q", "w_k", "w_v", "w_attn_out", "w_ffn_in", "b_ffn_in",
-                     "w_ffn_out", "b_ffn_out", "ln1_gain", "ln1_bias",
-                     "ln2_gain", "ln2_bias"):
-            out[f"interaction.{name}"] = getattr(self.interaction, name)
-        return out
+        """Name -> tensor map of every trainable leaf, in ``param_shapes``
+        order (the frozen embedding is excluded)."""
+        return dict(self.tensors)
 
     def all_tensors(self) -> dict:
         """learnable() plus the frozen embedding, for persistence."""
-        out = dict(self.learnable())
-        out["embedding.W"] = self.embedding.W
-        return out
-
-
-def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+        return {**self.tensors, "embedding.W": self.embedding.W}
 
 
 def init_model(dims: ModelDims, embedding: SemanticEmbedding, seed: int,
                literal_equations: bool = False) -> ModelParams:
-    """Seeded initialization: weights uniform in +/- 1/sqrt(fan_in), biases
-    and layer-norm biases zero, layer-norm gains one.  The draw order is
-    fixed (projection, prompt net, attention, feed-forward) so a seed pins
+    """Seeded initialization from ``param_shapes``: weights uniform in
+    +/- 1/sqrt(fan_in), biases and layer-norm biases zero, layer-norm
+    gains one.  The weights are drawn in the table's order, so a seed pins
     every parameter bitwise."""
-    if embedding.c != dims.c:
-        raise ValueError(f"embedding has {embedding.c} classes, dims.c = {dims.c}")
     rng = np.random.default_rng(seed)
-    d0, d, t, ffn, m = dims.d0, dims.d, dims.t, dims.ffn, embedding.m
-
-    projection = Projection(
-        w=ad.parameter(_uniform(rng, (d0, d), d0)),
-        b=ad.parameter(np.zeros(d)),
-    )
-    prompt_init = PromptInitParams(
-        w1=ad.parameter(_uniform(rng, (m, t), m)),
-        b1=ad.parameter(np.zeros(t)),
-        w2=ad.parameter(_uniform(rng, (t, d), t)),
-        b2=ad.parameter(np.zeros(d)),
-        tau=dims.tau,
-    )
-    interaction = InteractionParams(
-        w_q=ad.parameter(_uniform(rng, (d, d), d)),
-        w_k=ad.parameter(_uniform(rng, (d, d), d)),
-        w_v=ad.parameter(_uniform(rng, (d, d), d)),
-        w_attn_out=ad.parameter(_uniform(rng, (d, d), d)),
-        w_ffn_in=ad.parameter(_uniform(rng, (d, ffn), d)),
-        b_ffn_in=ad.parameter(np.zeros(ffn)),
-        w_ffn_out=ad.parameter(_uniform(rng, (ffn, d), ffn)),
-        b_ffn_out=ad.parameter(np.zeros(d)),
-        ln1_gain=ad.parameter(np.ones(d)),
-        ln1_bias=ad.parameter(np.zeros(d)),
-        ln2_gain=ad.parameter(np.ones(d)),
-        ln2_bias=ad.parameter(np.zeros(d)),
-        heads=dims.heads,
-    )
-    return ModelParams(dims=dims, embedding=embedding, projection=projection,
-                       prompt_init=prompt_init, interaction=interaction,
-                       literal_equations=literal_equations)
+    tensors = {}
+    for name, (shape, init) in param_shapes(dims, embedding).items():
+        if init == "zeros":
+            data = np.zeros(shape)
+        elif init == "ones":
+            data = np.ones(shape)
+        else:
+            bound = 1.0 / math.sqrt(init)
+            data = rng.uniform(-bound, bound, size=shape)
+        tensors[name] = ad.parameter(data)
+    return ModelParams(dims, embedding, tensors, literal_equations)
 
 
-def project_features(f_loc: Tensor, projection: Projection) -> Tensor:
+def project_features(f_loc: Tensor, params: ModelParams) -> Tensor:
     """Map raw visual tokens (..., v, d0) into the joint space -> (..., v, d)."""
-    return ad.add_rowvec(ad.matmul(f_loc, projection.w), projection.b)
+    t = params.tensors
+    return ad.add_rowvec(ad.matmul(f_loc, t["projection.w"]), t["projection.b"])
 
 
-def init_prompts(embedding: SemanticEmbedding, pi: PromptInitParams) -> Tensor:
+def init_prompts(params: ModelParams) -> Tensor:
     """Initial category prompts (c, d) from the frozen embedding.
 
     Depends only on the embedding and the prompt-net weights — never on
     the sample or its labels.
     """
-    hidden = ad.gelu(ad.add_rowvec(ad.matmul(embedding.W, pi.w1), pi.b1))
-    return ad.add_rowvec(ad.matmul(hidden, pi.w2), pi.b2)
+    t = params.tensors
+    hidden = ad.gelu(ad.add_rowvec(ad.matmul(params.embedding.W, t["prompt_init.w1"]),
+                                   t["prompt_init.b1"]))
+    return ad.add_rowvec(ad.matmul(hidden, t["prompt_init.w2"]), t["prompt_init.b2"])
 
 
-def vsi_forward(F: Tensor, P: Tensor, inter: InteractionParams,
-                literal_equations: bool = False) -> Tensor:
+def vsi_forward(F: Tensor, P: Tensor, params: ModelParams) -> Tensor:
     """Visual-semantic interaction: refine the prompts against the tokens.
 
     ``F`` is (..., v, d) and ``P`` is (..., c, d) with the same leading
@@ -283,26 +225,32 @@ def vsi_forward(F: Tensor, P: Tensor, inter: InteractionParams,
     layer over Z.  Every stage after attention (output map, residual,
     norms, feed-forward) is row-wise, so the visual rows' outputs never
     reach a prompt row; they are not computed, and the result is exactly
-    the prompt rows of the full layer.  Literal path: single-head
-    attention (scale 1/sqrt(d)), then the feed-forward — nothing else.
+    the prompt rows of the full layer.  Literal path
+    (``params.literal_equations``): single-head attention (scale
+    1/sqrt(d)), then the feed-forward — nothing else.
     """
     if F.shape[:-2] != P.shape[:-2] or F.shape[-1] != P.shape[-1]:
         raise ad.ShapeError(f"tokens {F.shape} and prompts {P.shape} disagree on "
                             "leading axes or width")
+    t = params.tensors
+    literal = params.literal_equations
     z = ad.concat_rows(F, P)
-    k, v = ad.matmul(z, inter.w_k), ad.matmul(z, inter.w_v)
+    k, v = ad.matmul(z, t["interaction.w_k"]), ad.matmul(z, t["interaction.w_v"])
     del z   # under no_grad nothing else holds it: scoring peaks lower
-    attn = ad.attention(ad.matmul(P, inter.w_q), k, v,
-                        1 if literal_equations else inter.heads)
-    if literal_equations:
-        hidden = ad.gelu(ad.add_rowvec(ad.matmul(attn, inter.w_ffn_in), inter.b_ffn_in))
-        return ad.add_rowvec(ad.matmul(hidden, inter.w_ffn_out), inter.b_ffn_out)
-
-    z1 = ad.layer_norm_rows(ad.add(P, ad.matmul(attn, inter.w_attn_out)),
-                            inter.ln1_gain, inter.ln1_bias, eps=LN_EPS)
-    hidden = ad.gelu(ad.add_rowvec(ad.matmul(z1, inter.w_ffn_in), inter.b_ffn_in))
-    ffn = ad.add_rowvec(ad.matmul(hidden, inter.w_ffn_out), inter.b_ffn_out)
-    return ad.layer_norm_rows(ad.add(z1, ffn), inter.ln2_gain, inter.ln2_bias, eps=LN_EPS)
+    x = ad.attention(ad.matmul(P, t["interaction.w_q"]), k, v,
+                     1 if literal else params.dims.heads)
+    if not literal:   # output map, residual, norm
+        x = ad.layer_norm_rows(ad.add(P, ad.matmul(x, t["interaction.w_attn_out"])),
+                               t["interaction.ln1_gain"], t["interaction.ln1_bias"],
+                               eps=LN_EPS)
+    hidden = ad.gelu(ad.add_rowvec(ad.matmul(x, t["interaction.w_ffn_in"]),
+                                   t["interaction.b_ffn_in"]))
+    ffn = ad.add_rowvec(ad.matmul(hidden, t["interaction.w_ffn_out"]),
+                        t["interaction.b_ffn_out"])
+    if literal:
+        return ffn
+    return ad.layer_norm_rows(ad.add(x, ffn), t["interaction.ln2_gain"],
+                              t["interaction.ln2_bias"], eps=LN_EPS)
 
 
 def classify(p_refined: Tensor, p_initial: Tensor) -> Tensor:
@@ -325,32 +273,6 @@ def _check_batch(features, dims: ModelDims) -> np.ndarray:
     return features
 
 
-def _forward_stacked(features: np.ndarray, params: ModelParams) -> tuple[Tensor, PromptSet]:
-    """One graph for a (B, v, d0) feature stack: scores (B, c), the shared
-    initial prompts (c, d) and the refined prompts (B, c, d).
-
-    The same broadcast of the initial prompts feeds the interaction
-    encoder and the classifier, so the prompts' gradient carries both
-    routes, summed over the batch.
-    """
-    F = project_features(ad.constant(features), params.projection)
-    P = init_prompts(params.embedding, params.prompt_init)
-    P_batch = ad.broadcast_batch(P, features.shape[0])
-    refined = vsi_forward(F, P_batch, params.interaction,
-                          literal_equations=params.literal_equations)
-    return classify(refined, P_batch), PromptSet(initial=P, refined=refined)
-
-
-def forward_with_prompts(features, params: ModelParams) -> tuple[Tensor, PromptSet]:
-    """Full forward pass of one sample's (v, d0) features returning scores
-    (c,) plus both prompt sets, (c, d) each."""
-    scores, prompts = _forward_stacked(
-        _check_batch(np.asarray(features)[None], params.dims), params)
-    c, d = prompts.initial.shape
-    return ad.reshape(scores, (c,)), PromptSet(
-        initial=prompts.initial, refined=ad.reshape(prompts.refined, (c, d)))
-
-
 def forward(features, params: ModelParams) -> Tensor:
     """Per-class probabilities (c,) for one sample's (v, d0) features:
     ``forward_batch`` of a batch of one."""
@@ -363,10 +285,14 @@ def forward_batch(features, params: ModelParams) -> Tensor:
 
     Every stage runs on the whole array, so the number of graph nodes
     does not grow with the batch.  Each row is bitwise equal to
-    ``forward`` of that sample.
+    ``forward`` of that sample.  The same broadcast of the initial
+    prompts feeds the interaction encoder and the classifier, so the
+    prompts' gradient carries both routes, summed over the batch.
     """
-    scores, _ = _forward_stacked(_check_batch(features, params.dims), params)
-    return scores
+    features = _check_batch(features, params.dims)
+    F = project_features(ad.constant(features), params)
+    P = ad.broadcast_batch(init_prompts(params), features.shape[0])
+    return classify(vsi_forward(F, P, params), P)
 
 
 def dual_path_grads(features, labels: np.ndarray, params: ModelParams,
@@ -375,26 +301,17 @@ def dual_path_grads(features, labels: np.ndarray, params: ModelParams,
     for one sample's (v, d0) features.
 
     The prompts enter the computation twice: through the interaction
-    encoder and directly as classifier weights.  Detaching one use at a
-    time isolates the other, and because backward accumulates by
-    summation, g_total = g_direct + g_via_interaction holds to roundoff.
+    encoder and directly as classifier weights.  Each use reads its own
+    batch-of-one broadcast of the prompts, so one backward leaves each
+    route's gradient on its own node, and the prompts receive their sum:
+    g_total = g_direct + g_via_interaction holds bitwise.
 
     Returns (g_total, g_direct, g_via_interaction) as plain arrays.
     """
-    features = _check_batch(np.asarray(features)[None], params.dims)[0]
-
-    def run(detach_interaction: bool, detach_classifier: bool) -> np.ndarray:
-        F = project_features(ad.constant(features), params.projection)
-        P = init_prompts(params.embedding, params.prompt_init)
-        p_inter = P.detach() if detach_interaction else P
-        p_cls = P.detach() if detach_classifier else P
-        refined = vsi_forward(F, p_inter, params.interaction,
-                              literal_equations=params.literal_equations)
-        loss = loss_fn(classify(refined, p_cls), labels)
-        ad.backward(loss)
-        return P.grad_or_zeros().copy()
-
-    g_total = run(False, False)
-    g_direct = run(True, False)
-    g_via_interaction = run(False, True)
-    return g_total, g_direct, g_via_interaction
+    F = project_features(ad.constant(_check_batch(np.asarray(features)[None], params.dims)),
+                         params)
+    P = init_prompts(params)
+    p_inter, p_cls = ad.broadcast_batch(P, 1), ad.broadcast_batch(P, 1)
+    scores = ad.reshape(classify(vsi_forward(F, p_inter, params), p_cls), (params.dims.c,))
+    ad.backward(loss_fn(scores, labels))
+    return P.grad_or_zeros(), p_cls.grad_or_zeros()[0], p_inter.grad_or_zeros()[0]

@@ -45,6 +45,7 @@ from .model import (
     SemanticEmbedding,
     forward_batch,
     init_model,
+    param_shapes,
 )
 from .schema import (
     Field,
@@ -91,6 +92,10 @@ CHECKPOINT_MAGIC = b"CPRC"
 CHECKPOINT_SCHEMA = {"*": ("<f8", None)}
 EVAL_CHUNK = 256
 GRADCHECK_MAX_ENTRIES = 20_000
+GRADCHECK_BATCH = 2
+GRADCHECK_SETTLE_STEPS = 400
+GRADCHECK_SETTLE_LOSS = 0.2
+GRADCHECK_TILT = 1e-5
 
 
 class CheckpointMismatchError(ValueError):
@@ -151,17 +156,16 @@ class TrainConfig:
 class Adam:
     """Adam with decoupled-nothing, classic formulation: weight decay is
     added to the gradient (g <- g + wd * theta), moments are bias-corrected.
-    Tensors that do not require grad are skipped entirely."""
+    Tensors that do not require grad are skipped entirely.  The moment
+    decays and eps are the constants ``SCALARS``; a checkpoint stores them
+    and a resume refuses other values."""
 
-    def __init__(self, params: dict, learning_rate: float,
-                 weight_decay: float = 0.0, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    SCALARS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+
+    def __init__(self, params: dict, learning_rate: float, weight_decay: float = 0.0):
         self.params = {name: p for name, p in params.items() if p.requires_grad}
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
@@ -172,7 +176,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = self.SCALARS["beta1"], self.SCALARS["beta2"], self.SCALARS["eps"]
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -183,7 +187,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +226,7 @@ def save_checkpoint(path, params: ModelParams, adam: Adam, cfg: TrainConfig,
         "config": cfg.to_dict(),
         "epoch": epoch,
         "history": history,
-        "adam": {"t": adam.t, "beta1": adam.beta1, "beta2": adam.beta2,
-                 "eps": adam.eps},
+        "adam": {"t": adam.t, **Adam.SCALARS},
         "class_names": list(params.embedding.class_names),
         "groups": list(groups),
         "class_counts": [int(n) for n in class_counts],
@@ -270,26 +273,30 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def rebuild_model(ckpt: Checkpoint) -> ModelParams:
-    """Reconstruct runnable model parameters from a loaded checkpoint."""
+    """Reconstruct runnable model parameters from a loaded checkpoint,
+    each tensor checked against ``model.param_shapes``."""
     cfg = ckpt.config
     if "embedding.W" not in ckpt.tensors:
         raise CheckpointMismatchError("checkpoint is missing embedding.W")
     embedding = SemanticEmbedding(W=ad.constant(ckpt.tensors["embedding.W"]),
                                   class_names=list(ckpt.class_names))
-    params = init_model(cfg.dims, embedding, seed=cfg.seed,
-                        literal_equations=cfg.literal_equations)
-    for name, p in params.learnable().items():
+    tensors = {}
+    for name, (shape, _) in param_shapes(cfg.dims, embedding).items():
         if name not in ckpt.tensors:
             raise CheckpointMismatchError(f"checkpoint is missing tensor {name}")
         stored = ckpt.tensors[name]
-        if stored.shape != p.data.shape:
+        if stored.shape != shape:
             raise CheckpointMismatchError(
-                f"tensor {name} has shape {stored.shape}, model expects {p.data.shape}")
-        p.data = stored.copy()
-    return params
+                f"tensor {name} has shape {stored.shape}, model expects {shape}")
+        tensors[name] = ad.parameter(stored.copy())
+    return ModelParams(cfg.dims, embedding, tensors, cfg.literal_equations)
 
 
 def _restore_adam(adam: Adam, ckpt: Checkpoint) -> None:
+    for key, value in Adam.SCALARS.items():
+        if ckpt.adam[key] != value:
+            raise CheckpointMismatchError(
+                f"checkpoint has adam.{key} = {ckpt.adam[key]!r}, Adam uses {value!r}")
     adam.t = ckpt.adam["t"]
     for name in adam.params:
         for kind, store in (("m", adam.m), ("v", adam.v)):
@@ -339,10 +346,6 @@ class TrainResult:
     history: list
     final_report: EvalReport
     final_checkpoint: str
-
-
-def _build_embedding(cfg: TrainConfig, c: int, class_names=None) -> SemanticEmbedding:
-    return embedding_provider(**cfg.embedding, c=c, class_names=class_names)
 
 
 def run_epoch(train_ds: LongTailDataset, seed: int, epoch: int, batch_size: int,
@@ -397,7 +400,8 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
     class_counts = train_ds.class_counts
     data_sha256 = _data_sha256(train_ds)
 
-    embedding = _build_embedding(cfg, train_ds.c, train_ds.class_names)
+    embedding = embedding_provider(**cfg.embedding, c=train_ds.c,
+                                   class_names=train_ds.class_names)
     params = init_model(cfg.dims, embedding, seed=cfg.seed,
                         literal_equations=cfg.literal_equations)
     adam = Adam(params.learnable(), cfg.learning_rate, cfg.weight_decay)
@@ -473,16 +477,14 @@ class GradcheckReport:
 
 
 def run_gradcheck(cfg: TrainConfig, eps: float = 1e-5,
-                  tolerance: float = 1e-4, batch: int = 2,
-                  settle_steps: int = 400, settle_loss: float = 0.2,
-                  tilt_scale: float = 1e-5) -> GradcheckReport:
+                  tolerance: float = 1e-4) -> GradcheckReport:
     """Finite-difference check of the full model + configured loss.
 
-    Builds the model from the config, draws a small synthetic batch, and
-    compares every parameter entry's backward gradient against central
-    differences.  Refuses configurations with more than
-    ``GRADCHECK_MAX_ENTRIES`` scalar parameters — finite differences cost
-    two forward passes per entry.
+    Builds the model from the config, draws a synthetic batch of
+    ``GRADCHECK_BATCH`` samples, and compares every parameter entry's
+    backward gradient against central differences.  Refuses configurations
+    with more than ``GRADCHECK_MAX_ENTRIES`` scalar parameters — finite
+    differences cost two forward passes per entry.
 
     Conditioning the probe matters.  Central differences at step ``eps``
     carry two error terms: subtraction noise of order
@@ -494,21 +496,21 @@ def run_gradcheck(cfg: TrainConfig, eps: float = 1e-5,
     to cancel to ~1e-9 — a probe-point accident, not a backward bug.  Two
     measures keep the check inside the instrument's resolution:
 
-    * up to ``settle_steps`` optimizer steps bring the probe batch's loss
-      below ``settle_loss``, shrinking the noise term (pass
-      ``settle_steps=0`` to probe the raw initialization);
+    * up to ``GRADCHECK_SETTLE_STEPS`` optimizer steps bring the probe
+      batch's loss below ``GRADCHECK_SETTLE_LOSS``, shrinking the noise
+      term;
     * the probed objective is the loss plus a fixed linear tilt
       ``sum_i t_i * theta_i`` with deterministic per-entry magnitudes in
-      ``[tilt_scale, 2 * tilt_scale]``, each signed to match the analytic
-      gradient so the two add in magnitude — every reference derivative is
-      bounded away from zero by construction.  The tilt is exactly linear,
-      so it adds no truncation error, and any backward-pass defect still
-      shifts analytic-vs-numeric by its full size.  Pass ``tilt_scale=0``
-      to probe the bare loss.
+      ``[GRADCHECK_TILT, 2 * GRADCHECK_TILT]``, each signed to match the
+      analytic gradient so the two add in magnitude — every reference
+      derivative is bounded away from zero by construction.  The tilt is
+      exactly linear, so it adds no truncation error, and any
+      backward-pass defect still shifts analytic-vs-numeric by its full
+      size.
     """
     dims = cfg.dims
     rng = np.random.default_rng(cfg.seed)
-    embedding = _build_embedding(cfg, dims.c)
+    embedding = embedding_provider(**cfg.embedding, c=dims.c)
     params = init_model(dims, embedding, seed=cfg.seed,
                         literal_equations=cfg.literal_equations)
 
@@ -519,9 +521,9 @@ def run_gradcheck(cfg: TrainConfig, eps: float = 1e-5,
             f"model has {n_entries} parameters; gradcheck is capped at "
             f"{GRADCHECK_MAX_ENTRIES} (shrink dims for checking)")
 
-    features = rng.standard_normal((batch, dims.v, dims.d0))
-    labels = (rng.uniform(size=(batch, dims.c)) < 0.4).astype(np.uint8)
-    for i in range(batch):
+    features = rng.standard_normal((GRADCHECK_BATCH, dims.v, dims.d0))
+    labels = (rng.uniform(size=(GRADCHECK_BATCH, dims.c)) < 0.4).astype(np.uint8)
+    for i in range(GRADCHECK_BATCH):
         if labels[i].sum() == 0:
             labels[i, int(rng.integers(dims.c))] = 1
     loss_fn = get_loss(cfg.loss["name"], cfg.loss)
@@ -530,10 +532,10 @@ def run_gradcheck(cfg: TrainConfig, eps: float = 1e-5,
         return loss_fn(forward_batch(features, params), labels)
 
     adam = Adam(learnable, learning_rate=1e-2)
-    for _ in range(settle_steps):
+    for _ in range(GRADCHECK_SETTLE_STEPS):
         adam.zero_grad()
         loss = bare()
-        if float(loss.data) < settle_loss:
+        if float(loss.data) < GRADCHECK_SETTLE_LOSS:
             break
         ad.backward(loss)
         adam.step()
@@ -546,7 +548,7 @@ def run_gradcheck(cfg: TrainConfig, eps: float = 1e-5,
     ad.backward(bare())
     tilt_rng = np.random.default_rng([cfg.seed, 7919])
     tilts = [np.where(p.grad_or_zeros() >= 0.0, 1.0, -1.0)
-             * tilt_rng.uniform(tilt_scale, 2.0 * tilt_scale, size=p.data.shape)
+             * tilt_rng.uniform(GRADCHECK_TILT, 2.0 * GRADCHECK_TILT, size=p.data.shape)
              for p in learnable.values()]
 
     def f() -> Tensor:

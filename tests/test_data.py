@@ -80,14 +80,6 @@ class TestSplitGroups:
         assert split_groups([20]) == ["medium"]
         assert split_groups([19]) == ["tail"]
 
-    def test_custom_thresholds(self):
-        assert split_groups([11, 10, 5, 4], head_min=10, tail_max=5) == \
-            ["head", "medium", "medium", "tail"]
-
-    def test_rejects_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            split_groups([5], head_min=10, tail_max=10)
-
 
 class TestGenerator:
     def test_realized_counts_equal_schedule_exactly(self):

@@ -42,34 +42,35 @@ def ln_np(x, gain, bias, eps=1e-5):
 
 
 def forward_oracle(features, params, literal):
-    pi = params.prompt_init
-    it = params.interaction
-    F = features @ params.projection.w.data + params.projection.b.data
-    P = gelu_np(params.embedding.W.data @ pi.w1.data + pi.b1.data) @ pi.w2.data + pi.b2.data
+    pi = {name.split(".")[1]: t.data for name, t in params.tensors.items()
+          if name.startswith("prompt_init.")}
+    it = {name.split(".")[1]: t.data for name, t in params.tensors.items()
+          if name.startswith("interaction.")}
+    F = features @ params.tensors["projection.w"].data + params.tensors["projection.b"].data
+    P = gelu_np(params.embedding.W.data @ pi["w1"] + pi["b1"]) @ pi["w2"] + pi["b2"]
     Z = np.vstack([F, P])
     d = P.shape[1]
     if literal:
-        q = P @ it.w_q.data
-        k = Z @ it.w_k.data
-        vv = Z @ it.w_v.data
+        q = P @ it["w_q"]
+        k = Z @ it["w_k"]
+        vv = Z @ it["w_v"]
         a = softmax_np(q @ k.T / np.sqrt(d))
-        refined = gelu_np((a @ vv) @ it.w_ffn_in.data + it.b_ffn_in.data) \
-            @ it.w_ffn_out.data + it.b_ffn_out.data
+        refined = gelu_np((a @ vv) @ it["w_ffn_in"] + it["b_ffn_in"]) \
+            @ it["w_ffn_out"] + it["b_ffn_out"]
     else:
-        q = Z @ it.w_q.data
-        k = Z @ it.w_k.data
-        vv = Z @ it.w_v.data
-        dh = d // it.heads
+        q = Z @ it["w_q"]
+        k = Z @ it["w_k"]
+        vv = Z @ it["w_v"]
+        heads = params.dims.heads
+        dh = d // heads
         outs = []
-        for h in range(it.heads):
+        for h in range(heads):
             sl = slice(h * dh, (h + 1) * dh)
             a = softmax_np(q[:, sl] @ k[:, sl].T / np.sqrt(dh))
             outs.append(a @ vv[:, sl])
-        z1 = ln_np(Z + np.hstack(outs) @ it.w_attn_out.data,
-                   it.ln1_gain.data, it.ln1_bias.data)
-        ffn = gelu_np(z1 @ it.w_ffn_in.data + it.b_ffn_in.data) \
-            @ it.w_ffn_out.data + it.b_ffn_out.data
-        z2 = ln_np(z1 + ffn, it.ln2_gain.data, it.ln2_bias.data)
+        z1 = ln_np(Z + np.hstack(outs) @ it["w_attn_out"], it["ln1_gain"], it["ln1_bias"])
+        ffn = gelu_np(z1 @ it["w_ffn_in"] + it["b_ffn_in"]) @ it["w_ffn_out"] + it["b_ffn_out"]
+        z2 = ln_np(z1 + ffn, it["ln2_gain"], it["ln2_bias"])
         refined = z2[features.shape[0]:]
     logits = (refined * P).sum(axis=1)
     return 1.0 / (1.0 + np.exp(-logits))
@@ -83,8 +84,8 @@ class TestShapesAndInit:
         rng = np.random.default_rng(0)
         emb = mdl.SemanticEmbedding(ad.constant(rng.standard_normal((3, 7))), ["a", "b", "c"])
         params = mdl.init_model(dims, emb, seed=1)
-        assert params.prompt_init.w1.shape == (7, 256)
-        assert params.prompt_init.w2.shape == (256, 512)
+        assert params.tensors["prompt_init.w1"].shape == (7, 256)
+        assert params.tensors["prompt_init.w2"].shape == (256, 512)
 
     def test_init_is_seed_deterministic(self):
         a = make_model(seed=5)
@@ -97,11 +98,36 @@ class TestShapesAndInit:
 
     def test_biases_zero_gains_one_weights_bounded(self):
         params = make_model(seed=3)
-        assert (params.projection.b.data == 0).all()
-        assert (params.interaction.ln1_gain.data == 1).all()
-        assert (params.interaction.ln2_bias.data == 0).all()
-        w = params.projection.w
+        assert (params.tensors["projection.b"].data == 0).all()
+        assert (params.tensors["interaction.ln1_gain"].data == 1).all()
+        assert (params.tensors["interaction.ln2_bias"].data == 0).all()
+        w = params.tensors["projection.w"]
         assert np.abs(w.data).max() <= 1.0 / np.sqrt(params.dims.d0)
+
+    def test_param_shapes_lists_the_learnable_tensors_in_draw_order(self):
+        params = make_model(c=4, d0=5, d=8, ffn=6, m=5)
+        table = mdl.param_shapes(params.dims, params.embedding)
+        assert list(table) == list(params.learnable())
+        assert table["prompt_init.w1"] == ((5, 4), 5)
+        assert table["interaction.w_ffn_out"] == ((6, 8), 6)
+        assert table["interaction.ln1_gain"] == ((8,), "ones")
+        assert [n for n, (_, init) in table.items() if not isinstance(init, str)] == [
+            "projection.w", "prompt_init.w1", "prompt_init.w2", "interaction.w_q",
+            "interaction.w_k", "interaction.w_v", "interaction.w_attn_out",
+            "interaction.w_ffn_in", "interaction.w_ffn_out"]
+
+    def test_params_are_checked_against_the_table(self):
+        params = make_model()
+        tensors = dict(params.tensors)
+        tensors["interaction.w_q"] = ad.parameter(np.zeros((8, 4)))
+        with pytest.raises(ad.ShapeError, match=r"interaction.w_q must be \(8, 8\)"):
+            mdl.ModelParams(params.dims, params.embedding, tensors)
+        del tensors["interaction.w_q"]
+        with pytest.raises(ValueError, match="model tensors must be"):
+            mdl.ModelParams(params.dims, params.embedding, tensors)
+        with pytest.raises(ValueError, match="embedding has 4 classes, dims.c = 5"):
+            mdl.init_model(mdl.ModelDims(d0=5, d=8, v=3, c=5, heads=2, ffn=6),
+                           params.embedding, seed=0)
 
     def test_embedding_must_be_frozen(self):
         with pytest.raises(ValueError, match="frozen"):
@@ -157,8 +183,8 @@ class TestForwardValues:
     def test_prompt_initialization_ignores_everything_but_embedding(self):
         """Same weights -> bitwise-identical prompts, call after call."""
         params = make_model(seed=9)
-        p1 = mdl.init_prompts(params.embedding, params.prompt_init).data
-        p2 = mdl.init_prompts(params.embedding, params.prompt_init).data
+        p1 = mdl.init_prompts(params).data
+        p2 = mdl.init_prompts(params).data
         np.testing.assert_array_equal(p1, p2)
 
     @pytest.mark.parametrize("heads", [1, 2])
@@ -186,13 +212,6 @@ class TestForwardValues:
 
         assert tensors_built(feats[:1]) == tensors_built(feats)
 
-    def test_refined_prompts_have_one_row_per_class(self):
-        params = make_model(seed=0)
-        rng = np.random.default_rng(2)
-        _, prompts = mdl.forward_with_prompts(rng.standard_normal((3, 5)), params)
-        assert prompts.initial.shape == (4, 8)
-        assert prompts.refined.shape == (4, 8)
-
 
 class TestPermutationEquivariance:
     @pytest.mark.parametrize("literal", [False, True])
@@ -210,8 +229,7 @@ class TestPermutationEquivariance:
             class_names=[params.embedding.class_names[i] for i in perm],
         )
         permuted_params = mdl.ModelParams(
-            dims=params.dims, embedding=emb_p, projection=params.projection,
-            prompt_init=params.prompt_init, interaction=params.interaction,
+            dims=params.dims, embedding=emb_p, tensors=params.tensors,
             literal_equations=literal)
         permuted = mdl.forward(features, permuted_params).data
         np.testing.assert_allclose(permuted, base[perm], rtol=0, atol=1e-10)
@@ -233,16 +251,28 @@ class TestDualPathGradients:
                 features, labels, params, lambda s, y: asl(s, y, ASLConfig()))
             np.testing.assert_allclose(g_total, g_direct + g_via, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_total_is_bitwise_the_sum_of_routes(self, literal):
+        """One backward: the prompts' gradient is the sum of the two
+        routes' gradients, exactly."""
+        rng = np.random.default_rng(6)
+        for seed in range(4):
+            params = make_model(seed=seed, literal=literal)
+            features = rng.standard_normal((params.dims.v, params.dims.d0))
+            labels = (rng.random(params.dims.c) < 0.5).astype(float)
+            g_total, g_direct, g_via = mdl.dual_path_grads(features, labels, params, bce)
+            assert g_total.tobytes() == (g_direct + g_via).tobytes()
+
     def test_zeroed_interaction_kills_the_indirect_route(self):
         """On the literal path with W_q = W_k = W_v = 0 and a zeroed
         feed-forward, the refined prompts are constant in P, so the entire
         gradient flows through the classifier route."""
         params = make_model(seed=1, literal=True)
         for name in ("w_q", "w_k", "w_v", "w_ffn_out"):
-            getattr(params.interaction, name).data[:] = 0.0
+            params.tensors[f"interaction.{name}"].data[:] = 0.0
         # keep the refined prompts nonzero (just constant in P), so the
         # direct classifier route still carries gradient
-        params.interaction.b_ffn_out.data[:] = 0.7
+        params.tensors["interaction.b_ffn_out"].data[:] = 0.7
         rng = np.random.default_rng(0)
         features = rng.standard_normal((3, 5))
         labels = np.array([1.0, 0.0, 1.0, 0.0])

@@ -18,8 +18,10 @@ from promptrefine.data import (
     GeneratorConfig,
     LongTailDataset,
     generate_synthetic_lt,
+    read_container,
     save_embeddings,
     save_features,
+    write_container,
 )
 from promptrefine.model import ModelDims, forward_batch
 from promptrefine.training import (
@@ -463,6 +465,19 @@ class TestTrainingLoop:
         with pytest.raises(CheckpointMismatchError, match="different training data"):
             train_on_datasets(cfg, other_train, test_ds, tmp_path / "run2",
                               resume_from=tmp_path / "run" / "checkpoint_epoch_000.cprc")
+
+    @pytest.mark.parametrize("key, value", [("beta1", 0.5), ("beta2", 0.99), ("eps", 1e-3)])
+    def test_resume_refuses_other_adam_scalars(self, tmp_path, key, value):
+        cfg = tiny_config(epochs=2)
+        train_ds, test_ds = tiny_data()
+        train_on_datasets(cfg, train_ds, test_ds, tmp_path / "run")
+        tensors, meta = read_container(tmp_path / "run" / "checkpoint_epoch_000.cprc",
+                                       training.CHECKPOINT_MAGIC, training.CHECKPOINT_SCHEMA)
+        meta["adam"][key] = value
+        edited = tmp_path / "edited.cprc"
+        write_container(edited, training.CHECKPOINT_MAGIC, tensors, meta)
+        with pytest.raises(CheckpointMismatchError, match=f"adam.{key} = {value!r}"):
+            train_on_datasets(cfg, train_ds, test_ds, tmp_path / "run2", resume_from=edited)
 
     def test_history_metrics_present_and_finite(self, tmp_path):
         cfg = tiny_config()
