@@ -10,6 +10,10 @@ sites receives the *sum* of the gradient contributions from every site.
 
 All arithmetic is float64.  Primitives are pure functions of their inputs:
 the same inputs always produce bitwise-identical outputs and gradients.
+The engine runs on numpy alone, except that ``gelu`` and ``sigmoid`` use
+``scipy.special``'s ``erf`` and ``expit``: the first GELU or sigmoid
+imports ``scipy.special``, so importing the package, generating data and
+building a model do not pay for it.
 
 Tensors are batch-first: every axis before the last two (or before the
 last one, for row-vector ops) is a *leading* axis, and the row-wise ops
@@ -34,13 +38,13 @@ its ``.grad`` but drops its parents and its closure, and a second
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.special import erf, expit
 
 __all__ = [
     "Tensor",
@@ -74,6 +78,16 @@ _GRAD_ENABLED = True
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on the first call and kept.  Only
+    ``gelu`` (``erf``) and ``sigmoid`` (``expit``) need it, and importing
+    it costs more than numpy itself, so a process that never runs them
+    never loads it."""
+    import scipy.special
+    return scipy.special
 
 
 class ShapeError(ValueError):
@@ -119,11 +133,8 @@ class Tensor:
         return bool(np.isfinite(self.data).all())
 
     def detach(self) -> "Tensor":
-        """A view of the same data, cut loose from the graph.
-
-        Gradients never flow through a detached tensor, which is how the
-        two gradient routes into a multiply-used tensor are separated.
-        """
+        """A view of the same data, cut loose from the graph: no gradient
+        flows through a detached tensor."""
         return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
@@ -289,7 +300,7 @@ def gelu(x: Tensor) -> Tensor:
     Backward: d/dx = 0.5 * (1 + erf(x/sqrt(2))) + x * pdf(x)
     with pdf(x) = exp(-x^2 / 2) / sqrt(2*pi).
     """
-    e = erf(x.data * _INV_SQRT2)
+    e = _special().erf(x.data * _INV_SQRT2)
     out_data = 0.5 * x.data * (1.0 + e)
 
     def _bw(g: np.ndarray) -> None:
@@ -301,7 +312,7 @@ def gelu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic; backward uses s * (1 - s)."""
-    s = expit(x.data)
+    s = _special().expit(x.data)
 
     def _bw(g: np.ndarray) -> None:
         _accumulate(x, g * s * (1.0 - s))

@@ -273,39 +273,44 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def rebuild_model(ckpt: Checkpoint) -> ModelParams:
-    """Reconstruct runnable model parameters from a loaded checkpoint,
-    each tensor checked against ``model.param_shapes``."""
+    """Reconstruct runnable model parameters from a loaded checkpoint.  It
+    must hold exactly the tensors ``save_checkpoint`` writes: ``embedding.W``,
+    each ``model.param_shapes`` tensor at its shape, and that tensor's
+    ``adam.m.``/``adam.v.`` moments at the same shape.  A missing, extra
+    or misshapen tensor is a ``CheckpointMismatchError`` naming it."""
     cfg = ckpt.config
     if "embedding.W" not in ckpt.tensors:
         raise CheckpointMismatchError("checkpoint is missing embedding.W")
     embedding = SemanticEmbedding(W=ad.constant(ckpt.tensors["embedding.W"]),
                                   class_names=list(ckpt.class_names))
-    tensors = {}
-    for name, (shape, _) in param_shapes(cfg.dims, embedding).items():
+    table = param_shapes(cfg.dims, embedding)
+    expected = {"embedding.W": ckpt.tensors["embedding.W"].shape}
+    for name, (shape, _) in table.items():
+        expected.update({name: shape, f"adam.m.{name}": shape, f"adam.v.{name}": shape})
+    for name, shape in expected.items():
         if name not in ckpt.tensors:
             raise CheckpointMismatchError(f"checkpoint is missing tensor {name}")
-        stored = ckpt.tensors[name]
-        if stored.shape != shape:
+        if ckpt.tensors[name].shape != shape:
             raise CheckpointMismatchError(
-                f"tensor {name} has shape {stored.shape}, model expects {shape}")
-        tensors[name] = ad.parameter(stored.copy())
+                f"tensor {name} has shape {ckpt.tensors[name].shape}, model expects {shape}")
+    unknown = sorted(ckpt.tensors.keys() - expected.keys())
+    if unknown:
+        raise CheckpointMismatchError(f"checkpoint has unknown tensors {unknown}")
+    tensors = {name: ad.parameter(ckpt.tensors[name].copy()) for name in table}
     return ModelParams(cfg.dims, embedding, tensors, cfg.literal_equations)
 
 
 def _restore_adam(adam: Adam, ckpt: Checkpoint) -> None:
+    """Load the step count and moments of a checkpoint that ``rebuild_model``
+    has checked, after checking its Adam scalars."""
     for key, value in Adam.SCALARS.items():
         if ckpt.adam[key] != value:
             raise CheckpointMismatchError(
                 f"checkpoint has adam.{key} = {ckpt.adam[key]!r}, Adam uses {value!r}")
     adam.t = ckpt.adam["t"]
     for name in adam.params:
-        for kind, store in (("m", adam.m), ("v", adam.v)):
-            key = f"adam.{kind}.{name}"
-            if key not in ckpt.tensors:
-                raise CheckpointMismatchError(f"checkpoint is missing {key}")
-            if ckpt.tensors[key].shape != store[name].shape:
-                raise CheckpointMismatchError(f"moment {key} has wrong shape")
-            store[name] = ckpt.tensors[key].copy()
+        adam.m[name] = ckpt.tensors[f"adam.m.{name}"].copy()
+        adam.v[name] = ckpt.tensors[f"adam.v.{name}"].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,30 @@ class TestTrainingLoop:
         with pytest.raises(CheckpointMismatchError, match=f"adam.{key} = {value!r}"):
             train_on_datasets(cfg, train_ds, test_ds, tmp_path / "run2", resume_from=edited)
 
+    @pytest.mark.parametrize("name, shape, message", [
+        ("interaction.w_typo", (3, 3), r"unknown tensors \['interaction.w_typo'\]"),
+        ("adam.m.ghost", (2,), r"unknown tensors \['adam.m.ghost'\]"),
+        ("adam.v.projection.b", None, "missing tensor adam.v.projection.b"),
+        ("adam.m.projection.b", (1,), r"tensor adam.m.projection.b has shape \(1,\)"),
+    ], ids=["extra-model-tensor", "extra-moment", "missing-moment", "misshapen-moment"])
+    def test_eval_and_resume_refuse_other_tensors(self, tmp_path, name, shape, message):
+        cfg = tiny_config(epochs=2)
+        train_ds, test_ds = tiny_data()
+        train_on_datasets(cfg, train_ds, test_ds, tmp_path / "run")
+        tensors, meta = read_container(tmp_path / "run" / "checkpoint_epoch_000.cprc",
+                                       training.CHECKPOINT_MAGIC, training.CHECKPOINT_SCHEMA)
+        if shape is None:
+            del tensors[name]
+        else:
+            tensors[name] = np.zeros(shape)
+        edited = tmp_path / "edited.cprc"
+        write_container(edited, training.CHECKPOINT_MAGIC, tensors, meta)
+        save_features(test_ds, tmp_path / "test.cprf")
+        with pytest.raises(CheckpointMismatchError, match=message):
+            evaluate(edited, tmp_path / "test.cprf")
+        with pytest.raises(CheckpointMismatchError, match=message):
+            train_on_datasets(cfg, train_ds, test_ds, tmp_path / "run2", resume_from=edited)
+
     def test_history_metrics_present_and_finite(self, tmp_path):
         cfg = tiny_config()
         train_ds, test_ds = tiny_data()
