@@ -41,7 +41,8 @@ print("=" * 70)
 
 p = ad.parameter(np.array([[1.0, 2.0]]))
 # z = sum(p * p) + sum(3 * p): dz/dp = 2p + 3
-z = ad.inner_sum([ad.add(ad.mul(p, p), ad.scale(p, 3.0))], [np.ones((1, 2))])
+z = ad.inner_sum([ad.add(ad.mul(p, p), ad.mul(ad.constant(np.full((1, 2), 3.0)), p))],
+                 [np.ones((1, 2))])
 ad.backward(z)
 print(f"p = {p.data.ravel()},  dz/dp = {p.grad.ravel()}  (expected {2 * p.data.ravel() + 3})")
 

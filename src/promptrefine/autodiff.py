@@ -60,7 +60,6 @@ __all__ = [
     "add_rowvec",
     "broadcast_batch",
     "mul",
-    "scale",
     "gelu",
     "sigmoid",
     "layer_norm_rows",
@@ -131,11 +130,6 @@ class Tensor:
     def is_finite(self) -> bool:
         """Validity check: True when every entry is finite (no NaN/Inf)."""
         return bool(np.isfinite(self.data).all())
-
-    def detach(self) -> "Tensor":
-        """A view of the same data, cut loose from the graph: no gradient
-        flows through a detached tensor."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -285,13 +279,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g * a.data)
 
     return _from_op(a.data * b.data, (a, b), _bw)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    def _bw(g: np.ndarray) -> None:
-        _accumulate(x, g * c)
-
-    return _from_op(x.data * c, (x,), _bw)
 
 
 def gelu(x: Tensor) -> Tensor:

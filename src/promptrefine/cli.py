@@ -13,7 +13,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .data import FileFormatError, GeneratorConfig, generate_synthetic_lt, save_features
+from .data import (FileFormatError, GeneratorConfig, _write_atomic, generate_synthetic_lt,
+                   save_features)
 from .schema import spec_of
 from .training import TrainConfig, evaluate, run_gradcheck, train
 
@@ -56,30 +57,28 @@ def _read_config(path) -> TrainConfig:
             raise FileFormatError(f"{path}: {exc}") from exc
 
 
+def _print_maps(values: dict) -> None:
+    for key in ("map_total", "map_head", "map_medium", "map_tail"):
+        print(f"{key}: {'n/a' if values[key] is None else f'{values[key]:.4f}'}")
+
+
 def _cmd_train(args) -> int:
     cfg = _read_config(args.config)
     result = train(cfg, args.data, args.out, resume_from=args.resume)
     last = result.history[-1]
     print(f"trained {cfg.epochs} epochs; final train loss {last['train_loss']:.5f}")
-    for key in ("map_total", "map_head", "map_medium", "map_tail"):
-        value = last[key]
-        print(f"{key}: {'n/a' if value is None else f'{value:.4f}'}")
+    _print_maps(last)
     print(f"final checkpoint: {result.final_checkpoint}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    report = evaluate(args.checkpoint, args.data)
-    for key, value in (("map_total", report.map_total),
-                       ("map_head", report.map_head),
-                       ("map_medium", report.map_medium),
-                       ("map_tail", report.map_tail)):
-        print(f"{key}: {'n/a' if value is None else f'{value:.4f}'}")
-    if report.skipped_classes:
-        print(f"skipped classes (no positives): {report.skipped_classes}")
+    report = evaluate(args.checkpoint, args.data).to_dict()
+    _print_maps(report)
+    if report["skipped_classes"]:
+        print(f"skipped classes (no positives): {report['skipped_classes']}")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        _write_atomic(args.report, json.dumps(report, indent=2, sort_keys=True).encode("utf-8"))
         print(f"full report written to {args.report}")
     return 0
 

@@ -74,16 +74,6 @@ class EvalReport:
             "skipped_classes": self.skipped_classes,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(per_class_ap=list(d["per_class_ap"]),
-                   map_total=d["map_total"],
-                   map_head=d["map_head"],
-                   map_medium=d["map_medium"],
-                   map_tail=d["map_tail"],
-                   n_classes_per_group=list(d["n_classes_per_group"]),
-                   skipped_classes=list(d["skipped_classes"]))
-
 
 def _mean(vals: list) -> float | None:
     return sum(vals) / len(vals) if vals else None

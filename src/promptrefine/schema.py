@@ -9,7 +9,9 @@ finite int or float, stored as a float; a bool must be a ``bool``.  Each
 refusal is a ``ValueError`` that names the key path, e.g. ``loss.mu``.
 A dataclass whose fields are declared with ``key`` is its own spec:
 ``build`` makes one from JSON, and its ``__post_init__`` calls
-``check_fields`` so that direct construction meets the same parsers.
+``check_fields`` so that direct construction meets the same parsers.  A
+field declared without ``key`` is not a JSON key; ``build`` takes it as an
+argument.
 """
 
 from __future__ import annotations
@@ -105,11 +107,12 @@ def key(parse, default=MISSING):
 
 
 def spec_of(cls) -> dict:
-    return {f.name: f.metadata["field"] for f in fields(cls)}
+    return {f.name: f.metadata["field"] for f in fields(cls) if "field" in f.metadata}
 
 
-def build(cls, x, path: str = ""):
-    return cls(**section(spec_of(cls))(x, path))
+def build(cls, x, path: str = "", **rest):
+    """``cls`` from the JSON object ``x``; ``rest`` gives the fields that are not keys."""
+    return cls(**section(spec_of(cls))(x, path), **rest)
 
 
 def nested(cls):
@@ -118,5 +121,5 @@ def nested(cls):
 
 
 def check_fields(obj) -> None:
-    for f in fields(obj):
-        setattr(obj, f.name, f.metadata["field"].parse(getattr(obj, f.name), f.name))
+    for name, f in spec_of(type(obj)).items():
+        setattr(obj, name, f.parse(getattr(obj, name), name))

@@ -14,7 +14,7 @@ in sorted name order.  The container's metadata echoes the training
 config, epoch, metric history, Adam scalars, class names,
 head/medium/tail groups, the training class counts, and ``data_sha256``,
 a fingerprint of the training features and labels that ``resume_from``
-must match; ``CHECKPOINT_META`` is its spec.
+must match; ``Checkpoint`` is its one declaration and its spec.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .schema import (
     positive,
     rule,
     section,
+    spec_of,
     string,
     tagged,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "Adam",
     "CheckpointMismatchError",
     "Checkpoint",
+    "checkpoint_tensors",
     "save_checkpoint",
     "load_checkpoint",
     "rebuild_model",
@@ -196,15 +198,41 @@ class Adam:
 
 @dataclass
 class Checkpoint:
-    config: TrainConfig
-    epoch: int
-    history: list
-    tensors: dict            # name -> float64 array (model + adam moments)
-    adam: dict               # t, beta1, beta2, eps
-    class_names: list
-    groups: list
-    class_counts: list
-    data_sha256: str         # fingerprint of the training data, see _data_sha256
+    """``tensors`` (see ``checkpoint_tensors``) and one metadata key per other
+    field, checked on construction as on load.  The config echo is checked
+    like a config file; ``groups`` and ``class_counts`` follow ``class_names``."""
+
+    config: TrainConfig = key(nested(TrainConfig))
+    epoch: int = key(integer(0))
+    history: list = key(list_of(section({
+        "epoch": Field(integer(0)),
+        "train_loss": Field(number()),
+        **{f"map_{g}": Field(optional(number())) for g in ("total", *GROUP_ORDER)},
+    })))
+    adam: dict = key(section({"t": Field(integer(0)), "beta1": Field(number()),
+                              "beta2": Field(number()), "eps": Field(number())}))
+    class_names: list = key(list_of(string))
+    groups: list = key(list_of(one_of(*GROUP_ORDER)))
+    class_counts: list = key(list_of(integer(0)))
+    data_sha256: str = key(rule("a 64-character hex digest", lambda s: type(s) is str
+                                and len(s) == 64 and set(s) <= set("0123456789abcdef")))
+    tensors: dict
+
+    def __post_init__(self):
+        check_fields(self)
+        for name in ("groups", "class_counts"):
+            if len(getattr(self, name)) != len(self.class_names):
+                raise ValueError(f"{name} must have {len(self.class_names)} entries, "
+                                 f"one per class name, got {getattr(self, name)!r}")
+
+
+def checkpoint_tensors(params: ModelParams, adam: Adam) -> dict:
+    """The tensors a checkpoint of ``params`` and ``adam`` holds: every model
+    tensor, the frozen embedding included, and each learnable tensor's moments."""
+    tensors = {name: p.data for name, p in params.all_tensors().items()}
+    for name in adam.m:
+        tensors.update({f"adam.m.{name}": adam.m[name], f"adam.v.{name}": adam.v[name]})
+    return tensors
 
 
 def _data_sha256(ds: LongTailDataset) -> str:
@@ -214,47 +242,15 @@ def _data_sha256(ds: LongTailDataset) -> str:
     return h.hexdigest()
 
 
-def save_checkpoint(path, params: ModelParams, adam: Adam, cfg: TrainConfig,
-                    epoch: int, history: list, groups: list,
-                    class_counts, data_sha256: str) -> None:
-    tensors = {name: p.data for name, p in params.all_tensors().items()}
-    for name in adam.m:
-        tensors[f"adam.m.{name}"] = adam.m[name]
-        tensors[f"adam.v.{name}"] = adam.v[name]
-
-    meta = {
-        "config": cfg.to_dict(),
-        "epoch": epoch,
-        "history": history,
-        "adam": {"t": adam.t, **Adam.SCALARS},
-        "class_names": list(params.embedding.class_names),
-        "groups": list(groups),
-        "class_counts": [int(n) for n in class_counts],
-        "data_sha256": data_sha256,
-    }
-    write_container(path, CHECKPOINT_MAGIC,
-                    {name: np.asarray(tensors[name], dtype="<f8") for name in sorted(tensors)},
-                    meta)
-
-
-# The checkpoint's metadata.  The config echo is checked like a config
-# file, under the path "config".
-CHECKPOINT_META = section({
-    "config": Field(nested(TrainConfig)),
-    "epoch": Field(integer(0)),
-    "history": Field(list_of(section({
-        "epoch": Field(integer(0)),
-        "train_loss": Field(number()),
-        **{f"map_{g}": Field(optional(number())) for g in ("total", *GROUP_ORDER)},
-    }))),
-    "adam": Field(section({"t": Field(integer(0)), "beta1": Field(number()),
-                           "beta2": Field(number()), "eps": Field(number())})),
-    "class_names": Field(list_of(string)),
-    "groups": Field(list_of(one_of(*GROUP_ORDER))),
-    "class_counts": Field(list_of(integer(0))),
-    "data_sha256": Field(rule("a 64-character hex digest", lambda s: type(s) is str
-                              and len(s) == 64 and set(s) <= set("0123456789abcdef"))),
-})
+def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write the tensors in sorted name order and the key fields as metadata,
+    checking the fields again first: a checkpoint changed since it was built
+    is refused before any file is written."""
+    ckpt.__post_init__()
+    meta = {name: getattr(ckpt, name) for name in spec_of(Checkpoint)}
+    write_container(path, CHECKPOINT_MAGIC, {name: np.asarray(ckpt.tensors[name], dtype="<f8")
+                                             for name in sorted(ckpt.tensors)},
+                    {**meta, "config": ckpt.config.to_dict()})
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -262,14 +258,9 @@ def load_checkpoint(path) -> Checkpoint:
     The tensors are read-only views of the file's bytes."""
     tensors, meta = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA)
     try:
-        meta = CHECKPOINT_META(meta, "")
-        for key in ("groups", "class_counts"):
-            if len(meta[key]) != len(meta["class_names"]):
-                raise ValueError(f"{key} must have {len(meta['class_names'])} entries, "
-                                 f"one per class name, got {meta[key]!r}")
+        return build(Checkpoint, meta, tensors=tensors)
     except ValueError as exc:
         raise FileFormatError(f"{path}: malformed checkpoint: {exc}") from exc
-    return Checkpoint(tensors=tensors, **meta)
 
 
 def rebuild_model(ckpt: Checkpoint) -> ModelParams:
@@ -402,7 +393,6 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
     out_dir.mkdir(parents=True, exist_ok=True)
     loss_fn = get_loss(cfg.loss["name"], cfg.loss)
     groups = split_groups(train_ds.class_counts)
-    class_counts = train_ds.class_counts
     data_sha256 = _data_sha256(train_ds)
 
     embedding = embedding_provider(**cfg.embedding, c=train_ds.c,
@@ -427,6 +417,13 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
         history = list(ckpt.history)
         start_epoch = ckpt.epoch + 1
 
+    def checkpoint(epoch: int) -> Checkpoint:
+        return Checkpoint(
+            config=cfg, epoch=epoch, history=history, adam={"t": adam.t, **Adam.SCALARS},
+            class_names=params.embedding.class_names, groups=groups,
+            class_counts=train_ds.class_counts.tolist(), data_sha256=data_sha256,
+            tensors=checkpoint_tensors(params, adam))
+
     test_labels = test_ds.labels_matrix()
     report = None
     for epoch in range(start_epoch, cfg.epochs):
@@ -444,15 +441,12 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
         })
         log.info("epoch %d: loss %.5f, mAP %.4f", epoch,
                  history[-1]["train_loss"], report.map_total or float("nan"))
-        save_checkpoint(out_dir / f"checkpoint_epoch_{epoch:03d}.cprc",
-                        params, adam, cfg, epoch, history, groups, class_counts,
-                        data_sha256)
+        save_checkpoint(out_dir / f"checkpoint_epoch_{epoch:03d}.cprc", checkpoint(epoch))
 
     if report is None:   # resume_from already covered every epoch
         report = map_report(score_dataset(params, test_ds), test_labels, groups)
     final_path = out_dir / "checkpoint_final.cprc"
-    save_checkpoint(final_path, params, adam, cfg, cfg.epochs - 1, history,
-                    groups, class_counts, data_sha256)
+    save_checkpoint(final_path, checkpoint(cfg.epochs - 1))
     return TrainResult(params=params, history=history, final_report=report,
                        final_checkpoint=str(final_path))
 

@@ -22,7 +22,8 @@ from promptrefine.data import (
     write_container,
 )
 from promptrefine.model import ModelDims, init_model
-from promptrefine.training import Adam, TrainConfig, load_checkpoint, save_checkpoint
+from promptrefine.training import (Adam, Checkpoint, TrainConfig, checkpoint_tensors,
+                                   load_checkpoint, save_checkpoint)
 
 MAGIC = b"TEST"
 SCHEMA = {"a": ("<f8", 2), "b": ("<f4", 1), "c": ("|u1", None)}
@@ -62,8 +63,10 @@ def write_checkpoint(path):
     emb = embedding_provider("random", c=3, m=7, seed=0)
     params = init_model(cfg.dims, emb, seed=0)
     adam = Adam(params.learnable(), cfg.learning_rate)
-    save_checkpoint(path, params, adam, cfg, 0, [], ["head", "medium", "tail"],
-                    [150, 50, 3], "0" * 64)
+    save_checkpoint(path, Checkpoint(
+        config=cfg, epoch=0, history=[], adam={"t": adam.t, **Adam.SCALARS},
+        class_names=emb.class_names, groups=["head", "medium", "tail"],
+        class_counts=[150, 50, 3], data_sha256="0" * 64, tensors=checkpoint_tensors(params, adam)))
 
 
 FORMATS = {"features": (write_features, load_features),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from promptrefine.metrics import EvalReport, NoPositivesError, average_precision, map_report
+from promptrefine.metrics import NoPositivesError, average_precision, map_report
 
 
 def ap_oracle(scores, labels) -> float:
@@ -109,12 +109,6 @@ class TestMapReport:
         assert rep.map_tail == pytest.approx(rep.per_class_ap[5])
         # group sizes still reflect the assignment
         assert rep.n_classes_per_group == [2, 2, 2]
-
-    def test_report_round_trips_through_dict(self):
-        scores, labels, groups = self._toy()
-        rep = map_report(scores, labels, groups)
-        again = EvalReport.from_dict(rep.to_dict())
-        assert again == rep
 
     def test_group_tag_validation(self):
         scores, labels, _ = self._toy()

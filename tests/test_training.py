@@ -1,6 +1,8 @@
 """Tests for the optimizer, checkpoints, and the training loop."""
 
+import dataclasses
 import errno
+import hashlib
 import json
 import re
 import tracemalloc
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from promptrefine import autodiff as ad
-from promptrefine import baseline, training
+from promptrefine import baseline, cli, training
 from promptrefine.data import (
     FileFormatError,
     FileTruncatedError,
@@ -26,9 +28,11 @@ from promptrefine.data import (
 from promptrefine.model import ModelDims, forward_batch
 from promptrefine.training import (
     Adam,
+    Checkpoint,
     CheckpointMismatchError,
     GradcheckReport,
     TrainConfig,
+    checkpoint_tensors,
     evaluate,
     load_checkpoint,
     rebuild_model,
@@ -166,6 +170,31 @@ def checkpoint_meta(**over):
     return meta
 
 
+# A checkpoint of fixed np.arange tensors and fixed metadata, and the sha256
+# of the file save_checkpoint writes for it.  No training and no BLAS is
+# involved, so the bytes depend on no platform; a change of the checkpoint
+# format shows here.
+GOLDEN_CONFIG = {"dims": {"d0": 3, "d": 4, "v": 2, "c": 2, "heads": 2, "ffn": 5, "tau": 0.5},
+                 "loss": {"name": "asl", "gamma_pos": 0.0, "gamma_neg": 4.0, "mu": 0.05},
+                 "embedding": {"mode": "random", "path": None, "m": 3, "seed": 0},
+                 "epochs": 2, "batch_size": 8, "learning_rate": 0.001, "weight_decay": 0.0001,
+                 "seed": 0, "literal_equations": False}
+GOLDEN_SHA256 = "f49eeacb3f6454ba7bf5d7c35f35353ecfc46c4b3ae0c1fe0bd6dfd71abb9c76"
+
+
+def golden_checkpoint() -> Checkpoint:
+    return Checkpoint(
+        config=TrainConfig.from_dict(GOLDEN_CONFIG), epoch=0,
+        history=[{"epoch": 0, "train_loss": 0.6931471805599453, "map_total": 0.5,
+                  "map_head": 0.75, "map_medium": None, "map_tail": 0.25}],
+        adam={"t": 3, **Adam.SCALARS}, class_names=["cat", "dog"], groups=["head", "tail"],
+        class_counts=[150, 3], data_sha256="0123456789abcdef" * 4,
+        tensors={"projection.b": np.arange(4.0) - 1.5,
+                 "embedding.W": np.arange(6.0).reshape(2, 3) / 4,
+                 "adam.v.projection.b": np.arange(4.0) / 64,
+                 "adam.m.projection.b": np.arange(4.0) / 8})
+
+
 def write_checkpoint_file(p, meta, arrays=(), payload=b"", header=None):
     """A version-2 CPRC container built byte by byte, not through
     data.write_container: header entries ``arrays``, the given metadata,
@@ -286,8 +315,8 @@ class TestCheckpointRoundTrip:
         from promptrefine.training import _restore_adam
         _restore_adam(adam, ckpt)
         dst = tmp_path / "again.cprc"
-        save_checkpoint(dst, params, adam, ckpt.config, ckpt.epoch,
-                        ckpt.history, ckpt.groups, ckpt.class_counts, ckpt.data_sha256)
+        save_checkpoint(dst, dataclasses.replace(ckpt, adam={"t": adam.t, **Adam.SCALARS},
+                                                 tensors=checkpoint_tensors(params, adam)))
         with open(src, "rb") as fh:
             original = fh.read()
         assert dst.read_bytes() == original
@@ -347,17 +376,41 @@ class TestCheckpointRoundTrip:
          "adam.beta2 must be a finite number, got None"),
         (None, checkpoint_meta(adam={"t": 3, "beta1": 0.9, "beta2": 0.999, "eps": []}),
          "adam.eps must be a finite number, got []"),
+        (None, checkpoint_meta(tensors={}), "unknown keys ['tensors']"),
+        (None, checkpoint_meta(epochs=3), "unknown keys ['epochs']"),
     ], ids=["non-utf8-name", "empty-metadata", "list-metadata", "dims-missing-keys",
             "class-names-int", "class-name-not-str", "group-unknown-tag",
             "groups-short", "count-negative", "count-float", "count-bool",
             "counts-short", "history-dict", "history-entry-int", "sha-int",
             "sha-short", "epoch-float", "epoch-bool", "adam-t-str", "adam-beta-none",
-            "adam-eps-list"])
+            "adam-eps-list", "tensors-key", "unknown-key"])
     def test_malformed_checkpoint_is_a_format_error(self, tmp_path, header, meta, message):
         p = write_checkpoint_file(tmp_path / "bad.cprc", meta, header=header)
         with pytest.raises(FileFormatError, match=re.escape(str(p))) as info:
             load_checkpoint(p)
         assert message in str(info.value)
+
+    def test_golden_bytes(self, tmp_path):
+        p = tmp_path / "golden.cprc"
+        save_checkpoint(p, golden_checkpoint())
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == GOLDEN_SHA256
+        loaded, golden = load_checkpoint(p), golden_checkpoint()
+        assert dataclasses.replace(loaded, tensors={}) == dataclasses.replace(golden, tensors={})
+        assert {n: a.tolist() for n, a in loaded.tensors.items()} == {
+            n: a.tolist() for n, a in golden.tensors.items()}
+
+    @pytest.mark.parametrize("name", ["groups", "class_counts"])
+    def test_per_class_lists_must_match_class_names(self, tmp_path, name):
+        """Built directly or changed after it was built, a checkpoint whose
+        per-class list is short is refused, and save writes no file."""
+        golden = golden_checkpoint()
+        message = f"{name} must have 2 entries, one per class name"
+        with pytest.raises(ValueError, match=message):
+            Checkpoint(**{**vars(golden), name: getattr(golden, name)[:1]})
+        setattr(golden, name, getattr(golden, name)[:1])
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(tmp_path / "short.cprc", golden)
+        assert list(tmp_path.iterdir()) == []
 
     def test_valid_metadata_loads(self, tmp_path):
         ckpt = load_checkpoint(write_checkpoint_file(tmp_path / "meta.cprc",
@@ -523,7 +576,7 @@ class TestTrainingLoop:
     def test_non_finite_loss_names_epoch_and_batch(self, tmp_path, monkeypatch):
         """Both trainers share the epoch loop and its non-finite check."""
         def nan_loss(name, loss_cfg=None):
-            return lambda s, y: ad.scale(ad.inner_sum([s], [np.ones(s.shape)]), float("nan"))
+            return lambda s, y: ad.inner_sum([s], [np.full(s.shape, np.nan)])
 
         monkeypatch.setattr(training, "get_loss", nan_loss)
         monkeypatch.setattr(baseline, "get_loss", nan_loss)
@@ -647,8 +700,11 @@ class TestAtomicWrites:
                                  class_names=train_ds.class_names)
         params = init_model(cfg.dims, emb, seed=0)
         adam = Adam(params.learnable(), cfg.learning_rate)
-        save_checkpoint(path, params, adam, cfg, 0, [], train_ds.groups,
-                        train_ds.class_counts, "0" * 64)
+        save_checkpoint(path, Checkpoint(
+            config=cfg, epoch=0, history=[], adam={"t": adam.t, **Adam.SCALARS},
+            class_names=train_ds.class_names, groups=train_ds.groups,
+            class_counts=train_ds.class_counts.tolist(), data_sha256="0" * 64,
+            tensors=checkpoint_tensors(params, adam)))
 
     @staticmethod
     def _write_features(path):
@@ -658,8 +714,24 @@ class TestAtomicWrites:
     def _write_embeddings(path):
         save_embeddings(["a", "b"], np.ones((2, 3)), path)
 
+    @pytest.fixture(scope="class", autouse=True)
+    def eval_inputs(self, request, tmp_path_factory):
+        """A checkpoint and a test split for ``_write_report`` to read, made
+        before ``write_bytes`` is patched and outside each test's directory."""
+        d = tmp_path_factory.mktemp("eval-inputs")
+        self._write_checkpoint(d / "model.cprc")
+        save_features(tiny_data()[1], d / "test.cprf")
+        request.cls.eval_dir = d
+
+    @classmethod
+    def _write_report(cls, path):
+        args = cli.build_parser().parse_args([
+            "eval", "--checkpoint", str(cls.eval_dir / "model.cprc"),
+            "--data", str(cls.eval_dir / "test.cprf"), "--report", str(path)])
+        args.func(args)
+
     @pytest.mark.parametrize("writer", ["_write_checkpoint", "_write_features",
-                                        "_write_embeddings"])
+                                        "_write_embeddings", "_write_report"])
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, writer):
         target = tmp_path / "out.bin"
         target.write_bytes(b"old contents")
