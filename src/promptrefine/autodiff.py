@@ -322,10 +322,9 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
         raise ShapeError(f"layer_norm_rows gain/bias must match the last axis of {x.shape}, "
                          f"got {gain.shape} and {bias.shape}")
     n = x.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    istd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * istd
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)   # centred, scaled in place below
+    istd = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + eps)
+    xhat *= istd
     out_data = xhat * gain.data + bias.data
 
     def _bw(g: np.ndarray) -> None:
@@ -527,7 +526,7 @@ class GradCheckResult:
 
 
 def grad_check(f: Callable[[], Tensor],
-               params: Mapping[str, Tensor] | Iterable[tuple[str, Tensor]],
+               params: Mapping[str, Tensor],
                eps: float = 1e-5) -> GradCheckResult:
     """Compare backward gradients against central finite differences.
 
@@ -543,7 +542,7 @@ def grad_check(f: Callable[[], Tensor],
     """
     if eps <= 0:
         raise ValueError(f"grad_check eps must be positive, got {eps}")
-    items = list(params.items()) if isinstance(params, Mapping) else list(params)
+    items = list(params.items())
     for _, t in items:
         t.zero_grad()
     loss = f()

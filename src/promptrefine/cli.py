@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .data import (FileFormatError, GeneratorConfig, _write_atomic, generate_synthetic_lt,
                    save_features)
+from .metrics import MAP_KEYS
 from .schema import spec_of
 from .training import TrainConfig, evaluate, run_gradcheck, train
 
@@ -58,7 +59,7 @@ def _read_config(path) -> TrainConfig:
 
 
 def _print_maps(values: dict) -> None:
-    for key in ("map_total", "map_head", "map_medium", "map_tail"):
+    for key in MAP_KEYS:
         print(f"{key}: {'n/a' if values[key] is None else f'{values[key]:.4f}'}")
 
 

@@ -288,17 +288,6 @@ class _Reader:
                 f"{self.path}: {len(self.blob) - self.pos} trailing bytes after payload")
 
 
-def _check_header(r: _Reader, magic: bytes) -> int:
-    """Check the magic and the version; return the JSON header's length."""
-    got = r.take(4)
-    if got != magic:
-        raise FileFormatError(f"{r.path}: bad magic {got!r}, expected {magic!r}")
-    version, header_len = struct.unpack("<II", r.take(8))
-    if version != FORMAT_VERSION:
-        raise FileVersionError(f"{r.path}: unsupported version {version}")
-    return header_len
-
-
 def _write_atomic(path, blob: bytes) -> None:
     """Write ``blob`` to a temp file in the target's directory, then
     ``os.replace`` it onto ``path``: a reader sees the old file or the new
@@ -344,7 +333,13 @@ def read_container(path, magic: bytes, schema: dict) -> tuple[dict, dict]:
     version, JSON (a NaN or Infinity token too) or schema, an inexact byte
     count, a non-finite float — raises ``FileFormatError`` or a subclass."""
     r = _Reader(Path(path).read_bytes(), str(path))
-    raw = r.take(_check_header(r, magic))
+    got = r.take(4)
+    if got != magic:
+        raise FileFormatError(f"{r.path}: bad magic {got!r}, expected {magic!r}")
+    version, header_len = struct.unpack("<II", r.take(8))
+    if version != FORMAT_VERSION:
+        raise FileVersionError(f"{r.path}: unsupported version {version}")
+    raw = r.take(header_len)
     try:
         header = json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant)
     except (ValueError, RecursionError) as exc:   # UnicodeDecodeError, JSONDecodeError

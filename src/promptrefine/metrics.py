@@ -9,13 +9,16 @@ silently counted as zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-__all__ = ["GROUP_ORDER", "NoPositivesError", "average_precision", "map_report", "EvalReport"]
+__all__ = ["GROUP_ORDER", "MAP_KEYS", "NoPositivesError", "average_precision", "map_report",
+           "EvalReport"]
 
 GROUP_ORDER = ("head", "medium", "tail")
+# The reported mAPs: over every scored class, then one per group.
+MAP_KEYS = ("map_total", *(f"map_{g}" for g in GROUP_ORDER))
 
 
 class NoPositivesError(ValueError):
@@ -64,15 +67,7 @@ class EvalReport:
     skipped_classes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "per_class_ap": self.per_class_ap,
-            "map_total": self.map_total,
-            "map_head": self.map_head,
-            "map_medium": self.map_medium,
-            "map_tail": self.map_tail,
-            "n_classes_per_group": self.n_classes_per_group,
-            "skipped_classes": self.skipped_classes,
-        }
+        return asdict(self)
 
 
 def _mean(vals: list) -> float | None:
@@ -115,9 +110,7 @@ def map_report(scores, labels, groups) -> EvalReport:
     return EvalReport(
         per_class_ap=per_class,
         map_total=_mean(scored),
-        map_head=_mean(by_group["head"]),
-        map_medium=_mean(by_group["medium"]),
-        map_tail=_mean(by_group["tail"]),
+        **{key: _mean(by_group[g]) for key, g in zip(MAP_KEYS[1:], GROUP_ORDER)},
         n_classes_per_group=[sum(1 for g in groups if g == tag) for tag in GROUP_ORDER],
         skipped_classes=skipped,
     )

@@ -15,6 +15,10 @@ config, epoch, metric history, Adam scalars, class names,
 head/medium/tail groups, the training class counts, and ``data_sha256``,
 a fingerprint of the training features and labels that ``resume_from``
 must match; ``Checkpoint`` is its one declaration and its spec.
+``checkpoint_tensors`` names its tensors and ``restore`` inverts it, so
+``evaluate`` and a resumed run build their model and Adam state from the
+checkpoint alone (a resume reads no embedding file) and refuse the same
+tensor sets and Adam scalars.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .data import (
     write_container,
 )
 from .losses import LOSS, get_loss
-from .metrics import GROUP_ORDER, EvalReport, map_report
+from .metrics import GROUP_ORDER, MAP_KEYS, EvalReport, map_report
 from .model import (
     ModelDims,
     ModelParams,
@@ -76,7 +80,7 @@ __all__ = [
     "checkpoint_tensors",
     "save_checkpoint",
     "load_checkpoint",
-    "rebuild_model",
+    "restore",
     "TrainResult",
     "run_epoch",
     "check_test_split",
@@ -207,7 +211,7 @@ class Checkpoint:
     history: list = key(list_of(section({
         "epoch": Field(integer(0)),
         "train_loss": Field(number()),
-        **{f"map_{g}": Field(optional(number())) for g in ("total", *GROUP_ORDER)},
+        **{name: Field(optional(number())) for name in MAP_KEYS},
     })))
     adam: dict = key(section({"t": Field(integer(0)), "beta1": Field(number()),
                               "beta2": Field(number()), "eps": Field(number())}))
@@ -263,45 +267,42 @@ def load_checkpoint(path) -> Checkpoint:
         raise FileFormatError(f"{path}: malformed checkpoint: {exc}") from exc
 
 
-def rebuild_model(ckpt: Checkpoint) -> ModelParams:
-    """Reconstruct runnable model parameters from a loaded checkpoint.  It
-    must hold exactly the tensors ``save_checkpoint`` writes: ``embedding.W``,
-    each ``model.param_shapes`` tensor at its shape, and that tensor's
-    ``adam.m.``/``adam.v.`` moments at the same shape.  A missing, extra
-    or misshapen tensor is a ``CheckpointMismatchError`` naming it."""
+def restore(ckpt: Checkpoint) -> tuple[ModelParams, Adam]:
+    """The model and optimizer a loaded checkpoint holds: the inverse of
+    ``checkpoint_tensors``.  The checkpoint must hold exactly the tensors
+    that function names for a model of ``ckpt.config`` around its
+    ``embedding.W``, each at its shape, and ``Adam.SCALARS``; anything
+    else is a ``CheckpointMismatchError`` naming it.  ``embedding.W`` stays
+    the checkpoint's own read-only array; every other tensor is copied."""
     cfg = ckpt.config
     if "embedding.W" not in ckpt.tensors:
         raise CheckpointMismatchError("checkpoint is missing embedding.W")
     embedding = SemanticEmbedding(W=ad.constant(ckpt.tensors["embedding.W"]),
                                   class_names=list(ckpt.class_names))
-    table = param_shapes(cfg.dims, embedding)
-    expected = {"embedding.W": ckpt.tensors["embedding.W"].shape}
-    for name, (shape, _) in table.items():
-        expected.update({name: shape, f"adam.m.{name}": shape, f"adam.v.{name}": shape})
-    for name, shape in expected.items():
+    params = ModelParams(cfg.dims, embedding,
+                         {name: ad.parameter(np.zeros(shape))
+                          for name, (shape, _) in param_shapes(cfg.dims, embedding).items()},
+                         cfg.literal_equations)
+    adam = Adam(params.learnable(), cfg.learning_rate, cfg.weight_decay)
+    expected = checkpoint_tensors(params, adam)
+    for name, a in expected.items():
         if name not in ckpt.tensors:
             raise CheckpointMismatchError(f"checkpoint is missing tensor {name}")
-        if ckpt.tensors[name].shape != shape:
+        if ckpt.tensors[name].shape != a.shape:
             raise CheckpointMismatchError(
-                f"tensor {name} has shape {ckpt.tensors[name].shape}, model expects {shape}")
+                f"tensor {name} has shape {ckpt.tensors[name].shape}, model expects {a.shape}")
     unknown = sorted(ckpt.tensors.keys() - expected.keys())
     if unknown:
         raise CheckpointMismatchError(f"checkpoint has unknown tensors {unknown}")
-    tensors = {name: ad.parameter(ckpt.tensors[name].copy()) for name in table}
-    return ModelParams(cfg.dims, embedding, tensors, cfg.literal_equations)
-
-
-def _restore_adam(adam: Adam, ckpt: Checkpoint) -> None:
-    """Load the step count and moments of a checkpoint that ``rebuild_model``
-    has checked, after checking its Adam scalars."""
     for key, value in Adam.SCALARS.items():
         if ckpt.adam[key] != value:
             raise CheckpointMismatchError(
                 f"checkpoint has adam.{key} = {ckpt.adam[key]!r}, Adam uses {value!r}")
+    for name, a in expected.items():
+        if name != "embedding.W":
+            a[...] = ckpt.tensors[name]
     adam.t = ckpt.adam["t"]
-    for name in adam.params:
-        adam.m[name] = ckpt.tensors[f"adam.m.{name}"].copy()
-        adam.v[name] = ckpt.tensors[f"adam.v.{name}"].copy()
+    return params, adam
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ def evaluate(checkpoint_path, data_path) -> EvalReport:
     """Score a feature file with a trained checkpoint and report mAP using
     the head/medium/tail grouping stored at training time."""
     ckpt = load_checkpoint(checkpoint_path)
-    params = rebuild_model(ckpt)
+    params, _ = restore(ckpt)
     dataset = load_features(data_path)
     if dataset.class_names != ckpt.class_names:
         raise CheckpointMismatchError(
@@ -395,15 +396,14 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
     groups = split_groups(train_ds.class_counts)
     data_sha256 = _data_sha256(train_ds)
 
-    embedding = embedding_provider(**cfg.embedding, c=train_ds.c,
-                                   class_names=train_ds.class_names)
-    params = init_model(cfg.dims, embedding, seed=cfg.seed,
-                        literal_equations=cfg.literal_equations)
-    adam = Adam(params.learnable(), cfg.learning_rate, cfg.weight_decay)
-
-    history: list = []
-    start_epoch = 0
-    if resume_from is not None:
+    if resume_from is None:
+        embedding = embedding_provider(**cfg.embedding, c=train_ds.c,
+                                       class_names=train_ds.class_names)
+        params = init_model(cfg.dims, embedding, seed=cfg.seed,
+                            literal_equations=cfg.literal_equations)
+        adam = Adam(params.learnable(), cfg.learning_rate, cfg.weight_decay)
+        history, start_epoch = [], 0
+    else:
         ckpt = load_checkpoint(resume_from)
         if ckpt.config.to_dict() != cfg.to_dict():
             raise CheckpointMismatchError(
@@ -411,11 +411,8 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
         if ckpt.data_sha256 != data_sha256:
             raise CheckpointMismatchError(
                 f"{resume_from}: checkpoint was trained on different training data")
-        params = rebuild_model(ckpt)
-        adam = Adam(params.learnable(), cfg.learning_rate, cfg.weight_decay)
-        _restore_adam(adam, ckpt)
-        history = list(ckpt.history)
-        start_epoch = ckpt.epoch + 1
+        params, adam = restore(ckpt)
+        history, start_epoch = list(ckpt.history), ckpt.epoch + 1
 
     def checkpoint(epoch: int) -> Checkpoint:
         return Checkpoint(
@@ -431,14 +428,8 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
                                lambda batch: forward_batch(batch, params),
                                loss_fn, adam)
         report = map_report(score_dataset(params, test_ds), test_labels, groups)
-        history.append({
-            "epoch": epoch,
-            "train_loss": train_loss,
-            "map_total": report.map_total,
-            "map_head": report.map_head,
-            "map_medium": report.map_medium,
-            "map_tail": report.map_tail,
-        })
+        history.append({"epoch": epoch, "train_loss": train_loss,
+                        **{name: getattr(report, name) for name in MAP_KEYS}})
         log.info("epoch %d: loss %.5f, mAP %.4f", epoch,
                  history[-1]["train_loss"], report.map_total or float("nan"))
         save_checkpoint(out_dir / f"checkpoint_epoch_{epoch:03d}.cprc", checkpoint(epoch))

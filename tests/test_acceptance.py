@@ -432,8 +432,8 @@ class TestDeterminismAndResume:
                      == open(r1.final_checkpoint, "rb").read())
 
         roundtrip = load_checkpoint(r1.final_checkpoint)
-        from promptrefine.training import rebuild_model
-        rebuilt = rebuild_model(roundtrip)
+        from promptrefine.training import restore
+        rebuilt, _ = restore(roundtrip)
         params_ok = all(
             rebuilt.all_tensors()[n].data.tobytes() == p.data.tobytes()
             for n, p in r1.params.all_tensors().items())

@@ -35,7 +35,7 @@ from promptrefine.training import (
     checkpoint_tensors,
     evaluate,
     load_checkpoint,
-    rebuild_model,
+    restore,
     run_gradcheck,
     save_checkpoint,
     score_dataset,
@@ -300,7 +300,7 @@ class TestCheckpointRoundTrip:
     def test_params_round_trip_bitwise(self, tmp_path):
         _, result = self._train_small(tmp_path)
         ckpt = load_checkpoint(result.final_checkpoint)
-        params = rebuild_model(ckpt)
+        params, _ = restore(ckpt)
         for name, p in result.params.all_tensors().items():
             stored = params.all_tensors()[name]
             assert p.data.tobytes() == stored.data.tobytes(), name
@@ -309,11 +309,7 @@ class TestCheckpointRoundTrip:
         _, result = self._train_small(tmp_path)
         src = result.final_checkpoint
         ckpt = load_checkpoint(src)
-        params = rebuild_model(ckpt)
-        adam = Adam(params.learnable(), ckpt.config.learning_rate,
-                    ckpt.config.weight_decay)
-        from promptrefine.training import _restore_adam
-        _restore_adam(adam, ckpt)
+        params, adam = restore(ckpt)
         dst = tmp_path / "again.cprc"
         save_checkpoint(dst, dataclasses.replace(ckpt, adam={"t": adam.t, **Adam.SCALARS},
                                                  tensors=checkpoint_tensors(params, adam)))
@@ -432,7 +428,7 @@ class TestCheckpointRoundTrip:
         ckpt = load_checkpoint(result.final_checkpoint)
         del ckpt.tensors["projection.w"]
         with pytest.raises(CheckpointMismatchError, match="projection.w"):
-            rebuild_model(ckpt)
+            restore(ckpt)
 
 
 def load_groups_helper():
@@ -501,6 +497,29 @@ class TestTrainingLoop:
         # so the shorter run's history is a prefix of the longer run's
         assert part.history == full.history[:2]
 
+    def test_resume_reads_only_the_checkpoint(self, tmp_path, monkeypatch):
+        """A file-embedding run resumes from its checkpoint alone: with the
+        embedding file deleted, the resumed run still ends in the
+        uninterrupted run's bytes, and never builds a model of its own."""
+        train_ds, test_ds = tiny_data()
+        emb_path = tmp_path / "emb.cpre"
+        save_embeddings(train_ds.class_names,
+                        np.random.default_rng(5).standard_normal((train_ds.c, 7)), emb_path)
+        cfg = tiny_config(epochs=2, embedding={"mode": "file", "path": str(emb_path)})
+        full = train_on_datasets(cfg, train_ds, test_ds, tmp_path / "full")
+        emb_path.unlink()
+        built = []
+        for name in ("embedding_provider", "init_model"):
+            monkeypatch.setattr(training, name, lambda *a, _n=name, _f=getattr(training, name),
+                                **k: built.append(_n) or _f(*a, **k))
+        resumed = train_on_datasets(
+            cfg, train_ds, test_ds, tmp_path / "resumed",
+            resume_from=tmp_path / "full" / "checkpoint_epoch_000.cprc")
+        assert built == []
+        assert resumed.history == full.history
+        assert (Path(resumed.final_checkpoint).read_bytes()
+                == Path(full.final_checkpoint).read_bytes())
+
     def test_resume_rejects_different_config(self, tmp_path):
         cfg = tiny_config(epochs=2)
         train_ds, test_ds = tiny_data()
@@ -529,6 +548,9 @@ class TestTrainingLoop:
         meta["adam"][key] = value
         edited = tmp_path / "edited.cprc"
         write_container(edited, training.CHECKPOINT_MAGIC, tensors, meta)
+        save_features(test_ds, tmp_path / "test.cprf")
+        with pytest.raises(CheckpointMismatchError, match=f"adam.{key} = {value!r}"):
+            evaluate(edited, tmp_path / "test.cprf")
         with pytest.raises(CheckpointMismatchError, match=f"adam.{key} = {value!r}"):
             train_on_datasets(cfg, train_ds, test_ds, tmp_path / "run2", resume_from=edited)
 
