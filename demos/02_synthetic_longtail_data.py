@@ -48,7 +48,7 @@ print(f"train: {len(train_ds)} samples, test: {len(test_ds)} "
       f"({cfg.test_per_class} per class, single positive each)")
 print(f"realized counts equal schedule: {list(realized) == list(schedule)}")
 
-labels = train_ds.labels_matrix()
+labels = train_ds.labels
 co = labels.T.astype(int) @ labels.astype(int)
 np.fill_diagonal(co, 0)
 print(f"label co-occurrences injected: {co.sum() // 2} pairs "
@@ -58,7 +58,7 @@ solo = generate_synthetic_lt(
     GeneratorConfig(c=20, v=8, d0=16, n_max=775, pareto_exponent=0.89,
                     pareto_ramp=0.047, co_occurrence_strength=0.0,
                     noise_sigma=0.6, test_per_class=30, seed=1))[0]
-solo_labels = solo.labels_matrix()
+solo_labels = solo.labels
 co0 = solo_labels.T.astype(int) @ solo_labels.astype(int)
 np.fill_diagonal(co0, 0)
 print(f"with strength 0.0 the same seed gives: {co0.sum() // 2} pairs")

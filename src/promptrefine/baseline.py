@@ -86,6 +86,5 @@ def train_baseline(train_ds: LongTailDataset, test_ds: LongTailDataset,
         run_epoch(train_ds, seed, epoch, batch_size,
                   lambda batch: baseline_forward_batch(batch, params), loss_fn, adam)
 
-    report = map_report(score_baseline(params, test_ds),
-                        test_ds.labels_matrix(), groups)
+    report = map_report(score_baseline(params, test_ds), test_ds.labels, groups)
     return params, report

@@ -32,7 +32,8 @@ each array's little-endian bytes in header order, dtype one of ``<f8``,
 ``<f4``, ``|u1``.  A format is a schema over it: features are
 ``features (n, v, d0) <f4`` and ``labels (n, c) |u1``, embeddings are
 ``W (c, m) <f4``, both with ``meta.class_names``; checkpoints are
-described in ``training``.
+described in ``training``.  Class names live in the data alone: an
+embedding is a bare (c, m) constant tensor (``embedding_provider``).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .model import SemanticEmbedding
 from .schema import (Field, check_fields, integer, key, list_of, non_negative, number, positive,
                      section, string)
 
@@ -149,9 +149,6 @@ class LongTailDataset:
     @property
     def groups(self) -> list:
         return split_groups(self.class_counts)
-
-    def labels_matrix(self) -> np.ndarray:
-        return self.labels.astype(np.int64)
 
 
 def split_groups(class_counts) -> list:
@@ -425,22 +422,20 @@ def load_embeddings(path) -> tuple[list, np.ndarray]:
 
 def embedding_provider(mode: str, path=None, c: int | None = None,
                        m: int | None = None, seed: int = 0,
-                       class_names=None) -> SemanticEmbedding:
-    """Build the frozen semantic embedding.
+                       class_names=None) -> ad.Tensor:
+    """The frozen semantic embedding, a constant (c, m) tensor.
 
-    mode "random": seeded standard-normal (c, m) matrix.
-    mode "file": load a CPRE file; class count and (when given) names must
-    match the dataset or EmbeddingMismatchError is raised.
+    mode "random": seeded standard-normal (c, m) matrix, c given directly
+    or as the number of ``class_names``.
+    mode "file": load a CPRE file; class count, width and (when given)
+    names must match the dataset or EmbeddingMismatchError is raised.
     """
     if mode == "random":
         if class_names is not None:
             c = len(class_names)
         if c is None or m is None:
             raise ValueError("random embeddings need c and m (or class_names and m)")
-        W = np.random.default_rng(seed).standard_normal((c, m))
-        names = list(class_names) if class_names is not None \
-            else [f"class_{i:03d}" for i in range(c)]
-        return SemanticEmbedding(W=ad.constant(W), class_names=names)
+        return ad.constant(np.random.default_rng(seed).standard_normal((c, m)))
     if mode == "file":
         if path is None:
             raise ValueError("file embeddings need a path")
@@ -453,7 +448,7 @@ def embedding_provider(mode: str, path=None, c: int | None = None,
                 f"{path}: file embedding width {W.shape[1]}, expected {m}")
         if class_names is not None and list(class_names) != names:
             raise EmbeddingMismatchError(f"{path}: class names differ from dataset")
-        return SemanticEmbedding(W=ad.constant(W), class_names=names)
+        return ad.constant(W)
     raise ValueError(f"unknown embedding mode {mode!r}; expected 'random' or 'file'")
 
 

@@ -21,11 +21,12 @@ projection — matching the bare update equations the design came from.
 No positional encodings anywhere: the forward pass is equivariant under
 permutations of the class axis, which the tests rely on.
 
-Each learnable tensor is declared once, in ``param_shapes``: its name
-(also its checkpoint name), shape and init rule.  ``ModelParams`` holds
-the tensors by those names, checked against the table; ``init_model``
-draws them in the table's order, and the stage functions read them by
-name.
+The embedding W_emb is a frozen (c, m) constant ``Tensor``; class names
+belong to the data, not the model.  Each learnable tensor is declared
+once, in ``param_shapes``: its name (also its checkpoint name), shape and
+init rule.  ``ModelParams`` holds the embedding and those tensors, checked
+against the table; ``init_model`` draws them in the table's order, and
+the stage functions read them by name.
 
 The stages are batch-first: a batch is one graph over stacked arrays,
 F of shape (B, v, d) and P broadcast to (B, c, d), and attention heads
@@ -48,7 +49,6 @@ from .schema import check_fields, integer, key, number
 __all__ = [
     "LN_EPS",
     "ModelDims",
-    "SemanticEmbedding",
     "param_shapes",
     "ModelParams",
     "init_model",
@@ -91,32 +91,7 @@ class ModelDims:
         return round(self.tau * self.d)
 
 
-@dataclass
-class SemanticEmbedding:
-    """Frozen per-class embedding matrix (c, m) with class names."""
-
-    W: Tensor
-    class_names: list
-
-    def __post_init__(self):
-        if self.W.data.ndim != 2:
-            raise ad.ShapeError(f"embedding must be 2-d, got {self.W.shape}")
-        if len(self.class_names) != self.W.shape[0]:
-            raise ValueError(
-                f"{len(self.class_names)} names for {self.W.shape[0]} embedding rows")
-        if self.W.requires_grad:
-            raise ValueError("the semantic embedding is frozen; requires_grad must be False")
-
-    @property
-    def c(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.W.shape[1]
-
-
-def param_shapes(dims: ModelDims, embedding: SemanticEmbedding) -> dict:
+def param_shapes(dims: ModelDims, m: int) -> dict:
     """Every learnable tensor: name -> (shape, init), in draw order.
 
     ``init`` is a fan-in (uniform in +/- 1/sqrt(fan_in)), ``"zeros"`` or
@@ -125,7 +100,7 @@ def param_shapes(dims: ModelDims, embedding: SemanticEmbedding) -> dict:
     encoder layer with joint QKV maps (d, d) across all heads, an
     attention output map, a GELU feed-forward and two layer norms.
     """
-    d0, d, t, ffn, m = dims.d0, dims.d, dims.t, dims.ffn, embedding.m
+    d0, d, t, ffn = dims.d0, dims.d, dims.t, dims.ffn
     return {
         "projection.w": ((d0, d), d0),
         "projection.b": ((d,), "zeros"),
@@ -148,18 +123,23 @@ def param_shapes(dims: ModelDims, embedding: SemanticEmbedding) -> dict:
 
 @dataclass
 class ModelParams:
-    """The model: its dims, the frozen embedding, and one tensor per
+    """The model: its dims, the frozen (c, m) embedding, and one tensor per
     ``param_shapes`` entry, by name."""
 
     dims: ModelDims
-    embedding: SemanticEmbedding
+    embedding: Tensor
     tensors: dict
     literal_equations: bool = False
 
     def __post_init__(self):
-        if self.embedding.c != self.dims.c:
-            raise ValueError(f"embedding has {self.embedding.c} classes, dims.c = {self.dims.c}")
-        table = param_shapes(self.dims, self.embedding)
+        if self.embedding.data.ndim != 2:
+            raise ad.ShapeError(f"embedding must be 2-d, got {self.embedding.shape}")
+        c, m = self.embedding.shape
+        if c != self.dims.c:
+            raise ValueError(f"embedding has {c} classes, dims.c = {self.dims.c}")
+        if self.embedding.requires_grad:
+            raise ValueError("the semantic embedding is frozen; requires_grad must be False")
+        table = param_shapes(self.dims, m)
         if self.tensors.keys() != table.keys():
             raise ValueError(f"model tensors must be {sorted(table)}, got {sorted(self.tensors)}")
         for name, (shape, _) in table.items():
@@ -174,10 +154,10 @@ class ModelParams:
 
     def all_tensors(self) -> dict:
         """learnable() plus the frozen embedding, for persistence."""
-        return {**self.tensors, "embedding.W": self.embedding.W}
+        return {**self.tensors, "embedding.W": self.embedding}
 
 
-def init_model(dims: ModelDims, embedding: SemanticEmbedding, seed: int,
+def init_model(dims: ModelDims, embedding: Tensor, seed: int,
                literal_equations: bool = False) -> ModelParams:
     """Seeded initialization from ``param_shapes``: weights uniform in
     +/- 1/sqrt(fan_in), biases and layer-norm biases zero, layer-norm
@@ -185,7 +165,7 @@ def init_model(dims: ModelDims, embedding: SemanticEmbedding, seed: int,
     every parameter bitwise."""
     rng = np.random.default_rng(seed)
     tensors = {}
-    for name, (shape, init) in param_shapes(dims, embedding).items():
+    for name, (shape, init) in param_shapes(dims, embedding.shape[-1]).items():
         if init == "zeros":
             data = np.zeros(shape)
         elif init == "ones":
@@ -210,7 +190,7 @@ def init_prompts(params: ModelParams) -> Tensor:
     the sample or its labels.
     """
     t = params.tensors
-    hidden = ad.gelu(ad.add_rowvec(ad.matmul(params.embedding.W, t["prompt_init.w1"]),
+    hidden = ad.gelu(ad.add_rowvec(ad.matmul(params.embedding, t["prompt_init.w1"]),
                                    t["prompt_init.b1"]))
     return ad.add_rowvec(ad.matmul(hidden, t["prompt_init.w2"]), t["prompt_init.b2"])
 

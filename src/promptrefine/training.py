@@ -11,14 +11,16 @@ A checkpoint ("CPRC") is a schema over ``data``'s one container: every
 model tensor (the frozen embedding included) plus the Adam first/second
 moments under "adam.m.<name>" / "adam.v.<name>", each a ``<f8`` array,
 in sorted name order.  The container's metadata echoes the training
-config, epoch, metric history, Adam scalars, class names,
-head/medium/tail groups, the training class counts, and ``data_sha256``,
-a fingerprint of the training features and labels that ``resume_from``
-must match; ``Checkpoint`` is its one declaration and its spec.
-``checkpoint_tensors`` names its tensors and ``restore`` inverts it, so
-``evaluate`` and a resumed run build their model and Adam state from the
-checkpoint alone (a resume reads no embedding file) and refuse the same
-tensor sets and Adam scalars.
+config, epoch, metric history, Adam scalars, the training data's class
+names, head/medium/tail groups, the training class counts, and
+``data_sha256``, a fingerprint of the training features and labels;
+``Checkpoint`` is its one declaration and its spec.  ``resume_from``
+must match the fingerprint and the class names, as ``evaluate``'s
+feature file must match the class names.  ``checkpoint_tensors`` names
+its tensors and ``restore`` inverts it, so ``evaluate`` and a resumed run
+build their model (the stored ``embedding.W`` as a constant tensor) and
+Adam state from the checkpoint alone and refuse the same tensor sets and
+Adam scalars; a resume reads no embedding file.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .metrics import GROUP_ORDER, MAP_KEYS, EvalReport, map_report
 from .model import (
     ModelDims,
     ModelParams,
-    SemanticEmbedding,
     forward_batch,
     init_model,
     param_shapes,
@@ -271,17 +272,18 @@ def restore(ckpt: Checkpoint) -> tuple[ModelParams, Adam]:
     """The model and optimizer a loaded checkpoint holds: the inverse of
     ``checkpoint_tensors``.  The checkpoint must hold exactly the tensors
     that function names for a model of ``ckpt.config`` around its
-    ``embedding.W``, each at its shape, and ``Adam.SCALARS``; anything
-    else is a ``CheckpointMismatchError`` naming it.  ``embedding.W`` stays
-    the checkpoint's own read-only array; every other tensor is copied."""
+    ``embedding.W``, each at its shape, a name per class, and ``Adam.SCALARS``;
+    anything else is a ``CheckpointMismatchError`` naming it.  ``embedding.W``
+    stays the checkpoint's own read-only array; every other tensor is copied."""
     cfg = ckpt.config
     if "embedding.W" not in ckpt.tensors:
         raise CheckpointMismatchError("checkpoint is missing embedding.W")
-    embedding = SemanticEmbedding(W=ad.constant(ckpt.tensors["embedding.W"]),
-                                  class_names=list(ckpt.class_names))
+    if len(ckpt.class_names) != cfg.dims.c:
+        raise CheckpointMismatchError(f"{len(ckpt.class_names)} class names, dims.c = {cfg.dims.c}")
+    embedding = ad.constant(ckpt.tensors["embedding.W"])
     params = ModelParams(cfg.dims, embedding,
-                         {name: ad.parameter(np.zeros(shape))
-                          for name, (shape, _) in param_shapes(cfg.dims, embedding).items()},
+                         {name: ad.parameter(np.zeros(shape)) for name, (shape, _)
+                          in param_shapes(cfg.dims, embedding.shape[-1]).items()},
                          cfg.literal_equations)
     adam = Adam(params.learnable(), cfg.learning_rate, cfg.weight_decay)
     expected = checkpoint_tensors(params, adam)
@@ -309,14 +311,13 @@ def restore(ckpt: Checkpoint) -> tuple[ModelParams, Adam]:
 # scoring / evaluation
 # ---------------------------------------------------------------------------
 
-def score_dataset(params: ModelParams, dataset: LongTailDataset,
-                  chunk: int = EVAL_CHUNK) -> np.ndarray:
+def score_dataset(params: ModelParams, dataset: LongTailDataset) -> np.ndarray:
     """Probability matrix (n, c), scored under ``no_grad`` so no graph is
-    kept.  Chunking is a memory bound only: any chunk size gives bitwise
-    identical rows."""
+    kept, ``EVAL_CHUNK`` samples per forward.  Chunking is a memory bound
+    only: any chunk size gives bitwise identical rows."""
     with ad.no_grad():
-        rows = [forward_batch(dataset.features[start:start + chunk], params).data
-                for start in range(0, len(dataset), chunk)]
+        rows = [forward_batch(dataset.features[start:start + EVAL_CHUNK], params).data
+                for start in range(0, len(dataset), EVAL_CHUNK)]
     return np.concatenate(rows, axis=0)
 
 
@@ -329,8 +330,7 @@ def evaluate(checkpoint_path, data_path) -> EvalReport:
     if dataset.class_names != ckpt.class_names:
         raise CheckpointMismatchError(
             f"{data_path}: class names differ from the checkpoint's")
-    scores = score_dataset(params, dataset)
-    return map_report(scores, dataset.labels_matrix(), ckpt.groups)
+    return map_report(score_dataset(params, dataset), dataset.labels, ckpt.groups)
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +411,25 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
         if ckpt.data_sha256 != data_sha256:
             raise CheckpointMismatchError(
                 f"{resume_from}: checkpoint was trained on different training data")
+        if ckpt.class_names != train_ds.class_names:
+            raise CheckpointMismatchError(
+                f"{resume_from}: class names differ from the training data's")
         params, adam = restore(ckpt)
         history, start_epoch = list(ckpt.history), ckpt.epoch + 1
 
     def checkpoint(epoch: int) -> Checkpoint:
         return Checkpoint(
             config=cfg, epoch=epoch, history=history, adam={"t": adam.t, **Adam.SCALARS},
-            class_names=params.embedding.class_names, groups=groups,
+            class_names=train_ds.class_names, groups=groups,
             class_counts=train_ds.class_counts.tolist(), data_sha256=data_sha256,
             tensors=checkpoint_tensors(params, adam))
 
-    test_labels = test_ds.labels_matrix()
     report = None
     for epoch in range(start_epoch, cfg.epochs):
         train_loss = run_epoch(train_ds, cfg.seed, epoch, cfg.batch_size,
                                lambda batch: forward_batch(batch, params),
                                loss_fn, adam)
-        report = map_report(score_dataset(params, test_ds), test_labels, groups)
+        report = map_report(score_dataset(params, test_ds), test_ds.labels, groups)
         history.append({"epoch": epoch, "train_loss": train_loss,
                         **{name: getattr(report, name) for name in MAP_KEYS}})
         log.info("epoch %d: loss %.5f, mAP %.4f", epoch,
@@ -435,7 +437,7 @@ def train_on_datasets(cfg: TrainConfig, train_ds: LongTailDataset,
         save_checkpoint(out_dir / f"checkpoint_epoch_{epoch:03d}.cprc", checkpoint(epoch))
 
     if report is None:   # resume_from already covered every epoch
-        report = map_report(score_dataset(params, test_ds), test_labels, groups)
+        report = map_report(score_dataset(params, test_ds), test_ds.labels, groups)
     final_path = out_dir / "checkpoint_final.cprc"
     save_checkpoint(final_path, checkpoint(cfg.epochs - 1))
     return TrainResult(params=params, history=history, final_report=report,

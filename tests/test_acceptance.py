@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from promptrefine import autodiff as ad
-from promptrefine import model as mdl
 from promptrefine.autodiff import grad_check
 from promptrefine.baseline import train_baseline
 from promptrefine.data import (
@@ -119,7 +118,7 @@ def bench_b(tmp_path_factory):
                                  class_names=train_ds.class_names)
         untrained = map_report(
             score_dataset(init_model(dims, emb, seed=seed), test_ds),
-            test_ds.labels_matrix(), train_ds.groups)
+            test_ds.labels, train_ds.groups)
 
         r_asl = train_on_datasets(train_cfg(BENCH_B, seed, "asl"),
                                   train_ds, test_ds, root / f"asl_{seed}")
@@ -299,12 +298,9 @@ class TestPermutationEquivariance:
             c, v, d0, m = 6, 4, 5, 7
             dims = ModelDims(d0=d0, d=12, v=v, c=c, heads=2, ffn=9, tau=0.5)
             W = rng.standard_normal((c, m))
-            names = [f"class_{i:03d}" for i in range(c)]
             perm = rng.permutation(c)
 
-            emb = mdl.SemanticEmbedding(W=ad.constant(W), class_names=names)
-            emb_p = mdl.SemanticEmbedding(W=ad.constant(W[perm]),
-                                          class_names=[names[i] for i in perm])
+            emb, emb_p = ad.constant(W), ad.constant(W[perm])
             params = init_model(dims, emb, seed=5, literal_equations=literal)
             params_p = init_model(dims, emb_p, seed=5, literal_equations=literal)
 

@@ -77,7 +77,7 @@ class TestTraining:
         train_ds, test_ds = tiny_data(seed=8)
         untrained = map_report(
             score_baseline(init_baseline(5, 6, seed=2), test_ds),
-            test_ds.labels_matrix(), split_groups(train_ds.class_counts))
+            test_ds.labels, split_groups(train_ds.class_counts))
         _, trained = train_baseline(train_ds, test_ds, epochs=10,
                                     learning_rate=1e-2, seed=2)
         assert trained.map_total > untrained.map_total + 0.15

@@ -65,7 +65,7 @@ def write_checkpoint(path):
     adam = Adam(params.learnable(), cfg.learning_rate)
     save_checkpoint(path, Checkpoint(
         config=cfg, epoch=0, history=[], adam={"t": adam.t, **Adam.SCALARS},
-        class_names=emb.class_names, groups=["head", "medium", "tail"],
+        class_names=["class_000", "class_001", "class_002"], groups=["head", "medium", "tail"],
         class_counts=[150, 50, 3], data_sha256="0" * 64, tensors=checkpoint_tensors(params, adam)))
 
 

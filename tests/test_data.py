@@ -93,13 +93,13 @@ class TestGenerator:
         cfg = GeneratorConfig(c=6, v=4, d0=5, n_max=40, seed=1,
                               co_occurrence_strength=0.0)
         train, _ = generate_synthetic_lt(cfg)
-        assert (train.labels_matrix().sum(axis=1) == 1).all()
+        assert (train.labels.sum(axis=1) == 1).all()
 
     def test_cooccurrence_produces_multilabel_rows(self):
         cfg = GeneratorConfig(c=6, v=4, d0=5, n_max=60, seed=1,
                               co_occurrence_strength=0.5)
         train, _ = generate_synthetic_lt(cfg)
-        row_sums = train.labels_matrix().sum(axis=1)
+        row_sums = train.labels.sum(axis=1)
         assert (row_sums > 1).any()
         assert (row_sums <= cfg.v).all()
         assert train.class_counts.tolist() == count_schedule(cfg).tolist()
@@ -124,7 +124,7 @@ class TestGenerator:
         cfg = GeneratorConfig(c=7, v=4, d0=5, n_max=50, seed=2, test_per_class=9)
         _, test = generate_synthetic_lt(cfg)
         assert len(test) == 7 * 9
-        lm = test.labels_matrix()
+        lm = test.labels
         assert (lm.sum(axis=1) == 1).all()
         assert lm.sum(axis=0).tolist() == [9] * 7
 
@@ -216,7 +216,6 @@ class TestDatasetValidation:
         assert ds.labels.dtype == np.uint8 and ds.labels.tobytes() == labels.tobytes()
         assert len(ds) == 3 and ds.c == 4
         assert ds.class_counts.tolist() == [1, 1, 1, 0]
-        assert ds.labels_matrix().dtype == np.int64
 
     def test_rejects_empty_labels(self):
         features, labels, names = dataset_args()
@@ -349,23 +348,23 @@ class TestEmbeddingFile:
 class TestEmbeddingProvider:
     def test_random_is_seeded_standard_normal(self):
         emb = embedding_provider("random", c=100, m=1000, seed=42)
-        W = emb.W.data
+        W = emb.data
         assert W.shape == (100, 1000)
         assert abs(W.mean()) < 0.05
         assert abs(W.var() - 1.0) < 0.05
         again = embedding_provider("random", c=100, m=1000, seed=42)
-        assert (again.W.data == W).all()
+        assert (again.data == W).all()
 
     def test_random_is_frozen(self):
         emb = embedding_provider("random", c=4, m=5, seed=0)
-        assert emb.W.requires_grad is False
+        assert emb.requires_grad is False
 
     def test_file_mode_checks_counts_and_names(self, tmp_path):
         names = ["a", "b", "c"]
         p = tmp_path / "e.cpre"
         save_embeddings(names, np.ones((3, 4)), p)
         emb = embedding_provider("file", path=p, c=3, m=4, class_names=names)
-        assert emb.class_names == names
+        assert emb.shape == (3, 4) and (emb.data == 1.0).all()
         with pytest.raises(EmbeddingMismatchError, match="classes"):
             embedding_provider("file", path=p, c=5)
         with pytest.raises(EmbeddingMismatchError, match="width"):

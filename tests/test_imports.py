@@ -1,5 +1,7 @@
-"""What a fresh interpreter loads: scipy only once a GELU or sigmoid runs."""
+"""What a fresh interpreter loads: scipy only once a GELU or sigmoid runs;
+and which package modules import which."""
 
+import ast
 import json
 import os
 import subprocess
@@ -43,3 +45,23 @@ def test_scipy_loads_on_the_first_gelu_or_sigmoid(tmp_path, op):
     assert proc.returncode == 0, proc.stderr[-2000:]
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen == {"import": [], "gen-data": [], op: True}
+
+
+def imported_names(path) -> set:
+    """Every dotted name a module's import statements mention, relative
+    imports without their leading dots."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{a.name}".lstrip(".") for a in node.names)
+    return names
+
+
+def test_data_does_not_import_model():
+    """The data layer builds datasets and embeddings without the model."""
+    names = imported_names(ROOT / "src" / "promptrefine" / "data.py")
+    assert "autodiff" in names
+    assert not [n for n in names if "model" in n.split(".")]

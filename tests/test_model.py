@@ -16,10 +16,7 @@ from promptrefine.losses import ASLConfig, asl, bce
 
 def make_model(seed=0, c=4, v=3, d0=5, d=8, heads=2, ffn=6, m=5, literal=False):
     rng = np.random.default_rng(seed + 999)
-    emb = mdl.SemanticEmbedding(
-        W=ad.constant(rng.standard_normal((c, m))),
-        class_names=[f"class_{i:02d}" for i in range(c)],
-    )
+    emb = ad.constant(rng.standard_normal((c, m)))
     dims = mdl.ModelDims(d0=d0, d=d, v=v, c=c, heads=heads, ffn=ffn)
     return mdl.init_model(dims, emb, seed=seed, literal_equations=literal)
 
@@ -47,7 +44,7 @@ def forward_oracle(features, params, literal):
     it = {name.split(".")[1]: t.data for name, t in params.tensors.items()
           if name.startswith("interaction.")}
     F = features @ params.tensors["projection.w"].data + params.tensors["projection.b"].data
-    P = gelu_np(params.embedding.W.data @ pi["w1"] + pi["b1"]) @ pi["w2"] + pi["b2"]
+    P = gelu_np(params.embedding.data @ pi["w1"] + pi["b1"]) @ pi["w2"] + pi["b2"]
     Z = np.vstack([F, P])
     d = P.shape[1]
     if literal:
@@ -82,7 +79,7 @@ class TestShapesAndInit:
         dims = mdl.ModelDims(d0=8, d=512, v=2, c=3, heads=8, ffn=16, tau=0.5)
         assert dims.t == 256
         rng = np.random.default_rng(0)
-        emb = mdl.SemanticEmbedding(ad.constant(rng.standard_normal((3, 7))), ["a", "b", "c"])
+        emb = ad.constant(rng.standard_normal((3, 7)))
         params = mdl.init_model(dims, emb, seed=1)
         assert params.tensors["prompt_init.w1"].shape == (7, 256)
         assert params.tensors["prompt_init.w2"].shape == (256, 512)
@@ -106,7 +103,7 @@ class TestShapesAndInit:
 
     def test_param_shapes_lists_the_learnable_tensors_in_draw_order(self):
         params = make_model(c=4, d0=5, d=8, ffn=6, m=5)
-        table = mdl.param_shapes(params.dims, params.embedding)
+        table = mdl.param_shapes(params.dims, 5)
         assert list(table) == list(params.learnable())
         assert table["prompt_init.w1"] == ((5, 4), 5)
         assert table["interaction.w_ffn_out"] == ((6, 8), 6)
@@ -129,9 +126,15 @@ class TestShapesAndInit:
             mdl.init_model(mdl.ModelDims(d0=5, d=8, v=3, c=5, heads=2, ffn=6),
                            params.embedding, seed=0)
 
-    def test_embedding_must_be_frozen(self):
-        with pytest.raises(ValueError, match="frozen"):
-            mdl.SemanticEmbedding(ad.parameter(np.zeros((2, 3))), ["a", "b"])
+    @pytest.mark.parametrize("embedding, error, message", [
+        (ad.constant(np.zeros(4)), ad.ShapeError, r"embedding must be 2-d, got \(4,\)"),
+        (ad.constant(np.zeros((3, 5))), ValueError, "embedding has 3 classes, dims.c = 4"),
+        (ad.parameter(np.zeros((4, 5))), ValueError, "frozen"),
+    ], ids=["not-2d", "wrong-rows", "requires-grad"])
+    def test_params_refuse_a_bad_embedding(self, embedding, error, message):
+        params = make_model()
+        with pytest.raises(error, match=message):
+            mdl.ModelParams(params.dims, embedding, params.tensors)
 
     def test_dims_validation(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -224,10 +227,7 @@ class TestPermutationEquivariance:
         base = mdl.forward(features, params).data
 
         perm = rng.permutation(params.dims.c)
-        emb_p = mdl.SemanticEmbedding(
-            W=ad.constant(params.embedding.W.data[perm]),
-            class_names=[params.embedding.class_names[i] for i in perm],
-        )
+        emb_p = ad.constant(params.embedding.data[perm])
         permuted_params = mdl.ModelParams(
             dims=params.dims, embedding=emb_p, tensors=params.tensors,
             literal_equations=literal)

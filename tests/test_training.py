@@ -538,6 +538,33 @@ class TestTrainingLoop:
             train_on_datasets(cfg, other_train, test_ds, tmp_path / "run2",
                               resume_from=tmp_path / "run" / "checkpoint_epoch_000.cprc")
 
+    def test_resume_rejects_other_class_names(self, tmp_path):
+        """The same arrays under other names are other training data: the
+        resume is refused, naming the checkpoint, and writes nothing."""
+        cfg = tiny_config(epochs=2)
+        train_ds, test_ds = tiny_data()
+        train_on_datasets(cfg, train_ds, test_ds, tmp_path / "run")
+        names = [f"other_{i}" for i in range(train_ds.c)]
+        renamed = [LongTailDataset(ds.features, ds.labels, names) for ds in (train_ds, test_ds)]
+        resume_from = tmp_path / "run" / "checkpoint_epoch_000.cprc"
+        with pytest.raises(CheckpointMismatchError,
+                           match=re.escape(f"{resume_from}: class names differ")):
+            train_on_datasets(cfg, *renamed, tmp_path / "run2", resume_from=resume_from)
+        assert list((tmp_path / "run2").glob("*.cprc")) == []
+
+    def test_restore_refuses_a_class_name_count_other_than_dims_c(self, tmp_path):
+        cfg = tiny_config(epochs=1)
+        train_ds, test_ds = tiny_data()
+        train_on_datasets(cfg, train_ds, test_ds, tmp_path / "run")
+        tensors, meta = read_container(tmp_path / "run" / "checkpoint_final.cprc",
+                                       training.CHECKPOINT_MAGIC, training.CHECKPOINT_SCHEMA)
+        for name in ("class_names", "groups", "class_counts"):
+            meta[name] = meta[name][:-1]
+        edited = tmp_path / "edited.cprc"
+        write_container(edited, training.CHECKPOINT_MAGIC, tensors, meta)
+        with pytest.raises(CheckpointMismatchError, match="5 class names, dims.c = 6"):
+            restore(load_checkpoint(edited))
+
     @pytest.mark.parametrize("key, value", [("beta1", 0.5), ("beta2", 0.99), ("eps", 1e-3)])
     def test_resume_refuses_other_adam_scalars(self, tmp_path, key, value):
         cfg = tiny_config(epochs=2)
@@ -664,13 +691,13 @@ class TestUntrainedScores:
         params = init_model(cfg.dims, emb, seed=0)
         scores = score_dataset(params, test_ds)
         from promptrefine.metrics import map_report
-        report = map_report(scores, test_ds.labels_matrix(), train_ds.groups)
-        prevalence = test_ds.labels_matrix().mean()
+        report = map_report(scores, test_ds.labels, train_ds.groups)
+        prevalence = test_ds.labels.mean()
         assert abs(report.map_total - prevalence) < 0.15
 
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("literal", [False, True])
-    def test_chunking_invariance(self, literal, heads):
+    def test_chunking_invariance(self, monkeypatch, literal, heads):
         train_ds, test_ds = tiny_data()
         cfg = tiny_config(dims=ModelDims(d0=5, d=8, v=4, c=6, heads=heads, ffn=12))
         from promptrefine.model import init_model
@@ -678,8 +705,10 @@ class TestUntrainedScores:
         emb = embedding_provider("random", c=6, m=7, seed=0,
                                  class_names=train_ds.class_names)
         params = init_model(cfg.dims, emb, seed=0, literal_equations=literal)
-        a = score_dataset(params, test_ds, chunk=3)
-        b = score_dataset(params, test_ds, chunk=100)
+        monkeypatch.setattr(training, "EVAL_CHUNK", 3)
+        a = score_dataset(params, test_ds)
+        monkeypatch.setattr(training, "EVAL_CHUNK", 100)
+        b = score_dataset(params, test_ds)
         assert a.tobytes() == b.tobytes()
 
 
