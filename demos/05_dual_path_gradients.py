@@ -17,7 +17,7 @@ import numpy as np
 from promptrefine import autodiff as ad
 from promptrefine.data import embedding_provider
 from promptrefine.losses import get_loss
-from promptrefine.model import ModelDims, dual_path_grads, forward, init_model
+from promptrefine.model import ModelDims, dual_path_grads, forward_batch, init_model
 
 rng = np.random.default_rng(2)
 dims = ModelDims(d0=8, d=16, v=5, c=6, heads=2, ffn=32, tau=0.5)
@@ -57,7 +57,7 @@ The literal route skips the attention-output projection and both layer
 norms, so those parameters sit outside the graph and their gradients stay
 exactly zero while everything else trains:""")
 
-loss = loss_fn(forward(features, lit), labels)
+loss = loss_fn(forward_batch(features[None], lit), labels[None])
 ad.backward(loss)
 for name, p in lit.learnable().items():
     norm = 0.0 if p.grad is None else float(np.abs(p.grad).max())

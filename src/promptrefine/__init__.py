@@ -33,7 +33,7 @@ from .data import (
 )
 from .losses import ASLConfig, asl, bce, focal, get_loss
 from .metrics import EvalReport, average_precision, map_report
-from .model import ModelDims, ModelParams, forward, forward_batch, init_model
+from .model import ModelDims, ModelParams, forward_batch, init_model
 from .training import (
     Adam,
     TrainConfig,
@@ -72,7 +72,6 @@ __all__ = [
     "map_report",
     "ModelDims",
     "ModelParams",
-    "forward",
     "forward_batch",
     "init_model",
     "Adam",

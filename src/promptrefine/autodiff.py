@@ -65,7 +65,6 @@ __all__ = [
     "layer_norm_rows",
     "attention",
     "concat_rows",
-    "reshape",
     "sum_rows",
     "inner_sum",
     "backward",
@@ -126,10 +125,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def is_finite(self) -> bool:
-        """Validity check: True when every entry is finite (no NaN/Inf)."""
-        return bool(np.isfinite(self.data).all())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -366,9 +361,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
 
-    # The per-head operands are contiguous copies, so every product is the
-    # same BLAS call, bit for bit, as in the unfused composite of reshape,
-    # transpose, matmul and softmax nodes.
+    # The per-head operands are contiguous copies, so each slice's product
+    # is the same BLAS call, bit for bit, whatever the leading axes: a
+    # sample's attention does not depend on the batch around it.
     def split(x: np.ndarray, n: int) -> np.ndarray:
         # (..., n, d) -> contiguous (..., heads, n, dh)
         return np.swapaxes(x.reshape(*lead, n, heads, dh), -3, -2).copy()
@@ -419,16 +414,6 @@ def concat_rows(*parts: Tensor) -> Tensor:
             _accumulate(p, g[..., a:b, :])
 
     return _from_op(np.concatenate([p.data for p in parts], axis=-2), tuple(parts), _bw)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if math.prod(shape) != x.size:
-        raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-
-    def _bw(g: np.ndarray) -> None:
-        _accumulate(x, g.reshape(x.data.shape))
-
-    return _from_op(x.data.reshape(shape).copy(), (x,), _bw)
 
 
 def sum_rows(x: Tensor) -> Tensor:
@@ -548,7 +533,7 @@ def grad_check(f: Callable[[], Tensor],
     loss = f()
     if loss.data.size != 1:
         raise ShapeError(f"grad_check needs a scalar loss, got shape {loss.shape}")
-    if not loss.is_finite():
+    if not np.isfinite(loss.data).all():
         raise NonFiniteError("grad_check: loss is not finite")
     backward(loss)
     analytic = {name: t.grad_or_zeros().copy() for name, t in items}

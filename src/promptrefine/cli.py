@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .data import (FileFormatError, GeneratorConfig, _write_atomic, generate_synthetic_lt,
-                   save_features)
+                   save_features, split_groups)
 from .metrics import MAP_KEYS
 from .schema import spec_of
 from .training import TrainConfig, evaluate, run_gradcheck, train
@@ -38,7 +38,7 @@ def _cmd_gen_data(args) -> int:
     save_features(train_ds, out / "train.cprf")
     save_features(test_ds, out / "test.cprf")
     counts = train_ds.class_counts
-    groups = train_ds.groups
+    groups = split_groups(counts)
     print(f"wrote {out / 'train.cprf'}: {len(train_ds)} samples, "
           f"{train_ds.c} classes, counts {counts.max()}..{counts.min()}")
     print(f"wrote {out / 'test.cprf'}: {len(test_ds)} samples "
@@ -86,12 +86,12 @@ def _cmd_eval(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = _read_config(args.config)
-    report = run_gradcheck(cfg, eps=args.eps, tolerance=args.tolerance)
-    status = "PASS" if report.passed else "FAIL"
-    print(f"{status}: max relative error {report.max_rel_error:.3e} "
-          f"at {report.worst_param} ({report.n_entries} entries, "
-          f"tolerance {report.tolerance:.1e})")
-    return 0 if report.passed else 2
+    result = run_gradcheck(cfg, eps=args.eps)
+    passed = result.max_rel_error < args.tolerance
+    print(f"{'PASS' if passed else 'FAIL'}: max relative error {result.max_rel_error:.3e} "
+          f"at {result.worst_param} ({result.n_entries} entries, "
+          f"tolerance {args.tolerance:.1e})")
+    return 0 if passed else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

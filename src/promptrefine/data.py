@@ -94,7 +94,7 @@ class FileTruncatedError(FileFormatError):
 
 
 class EmbeddingMismatchError(ValueError):
-    """Embedding file disagrees with the dataset on classes or names."""
+    """An embedding's classes or names disagree with the dataset's."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ class LongTailDataset:
     ``labels`` (n, c) uint8, sample i being row i of each.  Both are
     checked once, here: features 3-d and finite, labels binary with c
     columns and at least one positive per row, n >= 1, and the class names
-    non-empty and free of NUL.  Counts and groups are derived."""
+    non-empty and free of NUL.  The class counts are derived."""
 
     def __init__(self, features, labels, class_names):
         features = np.asarray(features, dtype=np.float64)
@@ -145,10 +145,6 @@ class LongTailDataset:
     def class_counts(self) -> np.ndarray:
         """Positives per class, recomputed from the labels."""
         return self.labels.sum(axis=0, dtype=np.int64)
-
-    @property
-    def groups(self) -> list:
-        return split_groups(self.class_counts)
 
 
 def split_groups(class_counts) -> list:
@@ -428,11 +424,14 @@ def embedding_provider(mode: str, path=None, c: int | None = None,
     mode "random": seeded standard-normal (c, m) matrix, c given directly
     or as the number of ``class_names``.
     mode "file": load a CPRE file; class count, width and (when given)
-    names must match the dataset or EmbeddingMismatchError is raised.
+    names must match the dataset.  In either mode a disagreement, between
+    ``c`` and ``class_names`` too, raises EmbeddingMismatchError.
     """
+    if class_names is not None:
+        if c is not None and c != len(class_names):
+            raise EmbeddingMismatchError(f"c = {c} but {len(class_names)} class names given")
+        c = len(class_names)
     if mode == "random":
-        if class_names is not None:
-            c = len(class_names)
         if c is None or m is None:
             raise ValueError("random embeddings need c and m (or class_names and m)")
         return ad.constant(np.random.default_rng(seed).standard_normal((c, m)))

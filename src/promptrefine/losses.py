@@ -8,7 +8,8 @@ one sample or an ``(r, c)`` matrix for a batch — plus a same-shaped
 binary label array.  The scalar result is the mean over samples of the
 per-sample sum over classes, so the single-sample and batched forms
 agree.  Each log's argument is clamped to ``[eps, ...]`` so saturated
-probabilities cannot produce infinities.
+probabilities cannot produce infinities; a NaN or infinite score, which
+the clamps would turn into a finite loss, raises ``NonFiniteError``.
 
 ``asl`` is a single node whose parent is ``s``, built with the engine's
 own node constructor: its forward is one numpy pass and its backward the
@@ -67,6 +68,8 @@ def _check_inputs(s: Tensor, y: np.ndarray) -> tuple[np.ndarray, int]:
         raise ad.ShapeError(f"scores must be a vector or matrix, got {s.shape}")
     if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("labels must be binary")
+    if (bad := ~np.isfinite(s.data)).any():
+        raise ad.NonFiniteError(f"scores are not finite: {np.unique(s.data[bad])}")
     rows = s.shape[0] if s.data.ndim == 2 else 1
     return y, rows
 

@@ -32,7 +32,8 @@ The stages are batch-first: a batch is one graph over stacked arrays,
 F of shape (B, v, d) and P broadcast to (B, c, d), and attention heads
 are one more leading axis inside the attention node.  Every leading-axis
 slice is computed by the same per-slice products as a batch of one, so a
-sample's scores do not depend on the batch it is scored in.
+sample's scores do not depend on the batch it is scored in.  There is one
+forward, ``forward_batch``; a single sample is scored as a batch of one.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "init_prompts",
     "vsi_forward",
     "classify",
-    "forward",
     "forward_batch",
     "dual_path_grads",
 ]
@@ -253,21 +253,14 @@ def _check_batch(features, dims: ModelDims) -> np.ndarray:
     return features
 
 
-def forward(features, params: ModelParams) -> Tensor:
-    """Per-class probabilities (c,) for one sample's (v, d0) features:
-    ``forward_batch`` of a batch of one."""
-    scores = forward_batch(np.asarray(features)[None], params)
-    return ad.reshape(scores, (params.dims.c,))
-
-
 def forward_batch(features, params: ModelParams) -> Tensor:
     """Scores (B, c) for a (B, v, d0) feature array, built as one graph.
 
     Every stage runs on the whole array, so the number of graph nodes
-    does not grow with the batch.  Each row is bitwise equal to
-    ``forward`` of that sample.  The same broadcast of the initial
-    prompts feeds the interaction encoder and the classifier, so the
-    prompts' gradient carries both routes, summed over the batch.
+    does not grow with the batch.  Each row is bitwise equal to the
+    scores of that sample as a batch of one.  The same broadcast of the
+    initial prompts feeds the interaction encoder and the classifier, so
+    the prompts' gradient carries both routes, summed over the batch.
     """
     features = _check_batch(features, params.dims)
     F = project_features(ad.constant(features), params)
@@ -292,6 +285,6 @@ def dual_path_grads(features, labels: np.ndarray, params: ModelParams,
                          params)
     P = init_prompts(params)
     p_inter, p_cls = ad.broadcast_batch(P, 1), ad.broadcast_batch(P, 1)
-    scores = ad.reshape(classify(vsi_forward(F, p_inter, params), p_cls), (params.dims.c,))
-    ad.backward(loss_fn(scores, labels))
+    ad.backward(loss_fn(classify(vsi_forward(F, p_inter, params), p_cls),
+                        np.asarray(labels)[None]))
     return P.grad_or_zeros(), p_cls.grad_or_zeros()[0], p_inter.grad_or_zeros()[0]

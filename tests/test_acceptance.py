@@ -118,7 +118,7 @@ def bench_b(tmp_path_factory):
                                  class_names=train_ds.class_names)
         untrained = map_report(
             score_dataset(init_model(dims, emb, seed=seed), test_ds),
-            test_ds.labels, train_ds.groups)
+            test_ds.labels, split_groups(train_ds.class_counts))
 
         r_asl = train_on_datasets(train_cfg(BENCH_B, seed, "asl"),
                                   train_ds, test_ds, root / f"asl_{seed}")
@@ -153,10 +153,10 @@ class TestGradientCorrectness:
                                "seed": 0},
                     epochs=1, batch_size=2, learning_rate=1e-3,
                     seed=7, literal_equations=literal)
-                report = run_gradcheck(cfg, eps=1e-5, tolerance=1e-4)
+                report = run_gradcheck(cfg, eps=1e-5)
                 combos.append((loss, literal, report.max_rel_error))
                 worst = max(worst, report.max_rel_error)
-                assert report.passed, (
+                assert report.max_rel_error < 1e-4, (
                     f"{loss} literal={literal}: {report.max_rel_error:.2e} "
                     f"at {report.worst_param}")
         elapsed = time.monotonic() - t0

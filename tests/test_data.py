@@ -372,6 +372,15 @@ class TestEmbeddingProvider:
         with pytest.raises(EmbeddingMismatchError, match="names"):
             embedding_provider("file", path=p, class_names=["x", "y", "z"])
 
+    def test_class_count_must_match_the_names_in_both_modes(self, tmp_path):
+        names = ["a", "b", "c"]
+        p = tmp_path / "e.cpre"
+        save_embeddings(names, np.ones((3, 4)), p)
+        for mode, path in (("random", None), ("file", p)):
+            with pytest.raises(EmbeddingMismatchError, match="c = 5 but 3 class names"):
+                embedding_provider(mode, path=path, c=5, m=4, class_names=names)
+        assert embedding_provider("random", m=4, class_names=names).shape == (3, 4)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             embedding_provider("glove")

@@ -128,7 +128,7 @@ class TestGradients:
         y = np.array([1.0, 0.0, 1.0, 0.0])
         s = ad.constant(np.array([0.0, 1.0, 1.0, 0.0]))
         for loss in (asl(s, y), bce(s, y), focal(s, y)):
-            assert loss.is_finite()
+            assert np.isfinite(loss.data).all()
 
 
 def oracle_grad(s_val: np.ndarray, y: np.ndarray, cfg: ASLConfig, step: float = 1e-7):
@@ -209,7 +209,7 @@ class TestFusedNode:
                 s = ad.parameter(s_val.copy())
                 loss = asl(s, y, cfg)
                 ad.backward(loss)
-                assert loss.is_finite() and np.isfinite(s.grad).all()
+                assert np.isfinite(loss.data).all() and np.isfinite(s.grad).all()
 
     def test_each_call_builds_one_tensor(self, monkeypatch):
         """The loss is one graph node: no constants, no intermediates."""
@@ -233,6 +233,16 @@ class TestValidationAndRegistry:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ad.ShapeError):
             asl(ad.constant(np.zeros(3)), np.zeros(4))
+
+    @pytest.mark.parametrize("loss", [asl, bce, focal])
+    def test_non_finite_scores_raise(self, loss):
+        """The log clamps would turn a NaN or infinite score into a finite
+        loss with zero gradient there; the loss refuses it instead."""
+        y = np.array([[1.0, 0.0], [0.0, 1.0]])
+        for bad in (np.nan, np.inf, -np.inf):
+            s = ad.parameter(np.array([[0.3, bad], [bad, 0.6]]))
+            with pytest.raises(ad.NonFiniteError, match="scores are not finite"):
+                loss(s, y)
 
     def test_non_binary_labels_raise(self):
         with pytest.raises(ValueError, match="binary"):

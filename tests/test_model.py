@@ -145,7 +145,7 @@ class TestShapesAndInit:
     def test_feature_shape_error_names_shapes(self):
         params = make_model()
         with pytest.raises(ad.ShapeError):
-            mdl.forward(np.zeros((7, 7)), params)
+            mdl.forward_batch(np.zeros((7, 7))[None], params)
 
 
 class TestForwardValues:
@@ -155,14 +155,14 @@ class TestForwardValues:
         for seed in range(4):
             params = make_model(seed=seed, literal=literal)
             features = rng.standard_normal((params.dims.v, params.dims.d0))
-            got = mdl.forward(features, params).data
+            got = mdl.forward_batch(features[None], params).data[0]
             want = forward_oracle(features, params, literal)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_scores_are_probabilities(self):
         rng = np.random.default_rng(1)
         params = make_model(seed=2)
-        s = mdl.forward(rng.standard_normal((3, 5)), params).data
+        s = mdl.forward_batch(rng.standard_normal((3, 5))[None], params).data[0]
         assert s.shape == (4,)
         assert ((s > 0) & (s < 1)).all()
 
@@ -179,8 +179,8 @@ class TestForwardValues:
         """The same seed gives the same weights, so only the path differs."""
         rng = np.random.default_rng(8)
         features = rng.standard_normal((3, 5))
-        s_std = mdl.forward(features, make_model(seed=4)).data
-        s_lit = mdl.forward(features, make_model(seed=4, literal=True)).data
+        s_std = mdl.forward_batch(features[None], make_model(seed=4)).data
+        s_lit = mdl.forward_batch(features[None], make_model(seed=4, literal=True)).data
         assert not np.allclose(s_std, s_lit)
 
     def test_prompt_initialization_ignores_everything_but_embedding(self):
@@ -197,7 +197,7 @@ class TestForwardValues:
         params = make_model(seed=10, heads=heads, literal=literal)
         feats = [rng.standard_normal((3, 5)) for _ in range(4)]
         batched = mdl.forward_batch(feats, params).data
-        singles = np.stack([mdl.forward(f, params).data for f in feats])
+        singles = np.concatenate([mdl.forward_batch(f[None], params).data for f in feats])
         assert batched.tobytes() == singles.tobytes()
 
     @pytest.mark.parametrize("literal", [False, True])
@@ -224,14 +224,14 @@ class TestPermutationEquivariance:
         rng = np.random.default_rng(42)
         params = make_model(seed=7, literal=literal)
         features = rng.standard_normal((params.dims.v, params.dims.d0))
-        base = mdl.forward(features, params).data
+        base = mdl.forward_batch(features[None], params).data[0]
 
         perm = rng.permutation(params.dims.c)
         emb_p = ad.constant(params.embedding.data[perm])
         permuted_params = mdl.ModelParams(
             dims=params.dims, embedding=emb_p, tensors=params.tensors,
             literal_equations=literal)
-        permuted = mdl.forward(features, permuted_params).data
+        permuted = mdl.forward_batch(features[None], permuted_params).data[0]
         np.testing.assert_allclose(permuted, base[perm], rtol=0, atol=1e-10)
 
 
@@ -304,7 +304,7 @@ class TestFullModelGradients:
         labels = (rng.random(3) < 0.5).astype(float)
 
         def f():
-            return asl(mdl.forward(features, params), labels, ASLConfig())
+            return asl(mdl.forward_batch(features[None], params), labels[None], ASLConfig())
 
         result = ad.grad_check(f, params.learnable(), eps=1e-5)
         assert result.max_rel_error < 1e-4, str(result)

@@ -1,26 +1,37 @@
-"""Byte-identity check of training: six runs, their final checkpoints'
-sha256 prefixes, and whether a resume reproduces each one.
+"""Byte-identity check of training, the dual-path gradient split and the
+gradient check: the lines a change that claims the same behaviour must
+leave as they were.
 
-Each run trains the prompt model on bench-A data (``bench/workloads.py``:
-``BENCH_A_GEN``, ``BENCH_A_DIMS``, ``BENCH_A_TRAIN``; generator seed 3) for
-3 epochs at seed 3 with a random embedding (m = 8, seed 3), once per loss
-(asl, bce, focal) on the standard and on the literal path.  Each run is
-then resumed from its ``checkpoint_epoch_000.cprc`` in a fresh directory,
-and the resumed final checkpoint is compared byte for byte with the
-uninterrupted one.
+Training: each of six runs trains the prompt model on bench-A data
+(``bench/workloads.py``: ``BENCH_A_GEN``, ``BENCH_A_DIMS``,
+``BENCH_A_TRAIN``; generator seed 3) for 3 epochs at seed 3 with a random
+embedding (m = 8, seed 3), once per loss (asl, bce, focal) on the standard
+and on the literal path.  Each run is then resumed from its
+``checkpoint_epoch_000.cprc`` in a fresh directory, and the resumed final
+checkpoint is compared byte for byte with the uninterrupted one.
+
+Dual path: ``model.dual_path_grads`` on the first 4 bench-A training
+samples, for each loss on each path (24 calls; bench-A dims, model and
+embedding seed 3), hashed over every returned array.
+
+Gradient check: the output line of ``promptrefine gradcheck`` on the
+benchmark's gradcheck config (``workloads.setup("gradcheck", 3, ...)``).
 
 Run from the repository root:
 
     python3 tools/checkpoint_hashes.py
 
-It prints one line per run and exits 1 if any resume differs.  The
-prefixes are a fingerprint of the training arithmetic on this platform:
-compare them between two versions of the code on one machine.
+It prints one line per training run, then the dual-path and gradcheck
+lines, and exits 1 if any resume differs or the gradcheck fails.  The
+prefixes are a fingerprint of the arithmetic on this platform: compare
+them between two versions of the code on one machine.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -28,18 +39,48 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from promptrefine.data import GeneratorConfig, generate_synthetic_lt  # noqa: E402
-from promptrefine.model import ModelDims  # noqa: E402
+from promptrefine import cli  # noqa: E402
+from promptrefine.data import (GeneratorConfig, embedding_provider,  # noqa: E402
+                               generate_synthetic_lt)
+from promptrefine.losses import get_loss  # noqa: E402
+from promptrefine.model import ModelDims, dual_path_grads, init_model  # noqa: E402
 from promptrefine.training import TrainConfig, train_on_datasets  # noqa: E402
-from workloads import BENCH_A_DIMS, BENCH_A_GEN, BENCH_A_TRAIN  # noqa: E402
+from workloads import BENCH_A_DIMS, BENCH_A_GEN, BENCH_A_TRAIN, setup  # noqa: E402
 
 SEED = 3
 EPOCHS = 3
 LOSSES = ("asl", "bce", "focal")
+DUAL_PATH_SAMPLES = 4
 
 
 def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def dual_path_digest(train_ds) -> str:
+    """sha256 over (g_total, g_direct, g_via) of every dual-path call."""
+    h = hashlib.sha256()
+    dims = ModelDims(**BENCH_A_DIMS)
+    embedding = embedding_provider("random", c=dims.c, m=8, seed=SEED)
+    for literal in (False, True):
+        params = init_model(dims, embedding, seed=SEED, literal_equations=literal)
+        for loss in LOSSES:
+            loss_fn = get_loss(loss)
+            for x, y in zip(train_ds.features[:DUAL_PATH_SAMPLES],
+                            train_ds.labels[:DUAL_PATH_SAMPLES]):
+                for g in dual_path_grads(x, y, params, loss_fn):
+                    h.update(g.tobytes())
+    return h.hexdigest()
+
+
+def gradcheck(tmp) -> tuple[int, str]:
+    """Exit code and stdout of the CLI gradcheck on the benchmark's config."""
+    inputs = Path(tmp) / "gradcheck"
+    setup("gradcheck", SEED, inputs)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["gradcheck", "--config", str(inputs / "config.json")])
+    return rc, out.getvalue().strip()
 
 
 def main() -> int:
@@ -64,7 +105,11 @@ def main() -> int:
                 print(f"{path:8s} {loss:5s} {digest[:16]}  "
                       f"resume from epoch 0: {'identical' if same else 'DIFFERS'}",
                       flush=True)
-    return 0 if all_resumed else 1
+        print(f"dual_path_grads {dual_path_digest(train_ds)[:16]}  "
+              f"({2 * len(LOSSES) * DUAL_PATH_SAMPLES} calls)", flush=True)
+        rc, line = gradcheck(tmp)
+        print(f"gradcheck {line}", flush=True)
+    return 0 if all_resumed and rc == 0 else 1
 
 
 if __name__ == "__main__":
