@@ -23,7 +23,7 @@ b = ad.parameter(np.zeros(2))
 
 # y = sum(sigmoid(x @ w + b));  dy/dw = x.T @ (s * (1 - s)),  dy/db = column sums.
 # inner_sum([t], [weights]) is the scalar <t, weights>; all-ones weights sum t.
-y = ad.inner_sum([ad.sigmoid(ad.add_rowvec(ad.matmul(x, w), b))], [np.ones((3, 2))])
+y = ad.inner_sum([ad.sigmoid(ad.linear(x, w, b))], [np.ones((3, 2))])
 ad.backward(y)
 
 s = 1.0 / (1.0 + np.exp(-(x.data @ w.data + b.data)))
@@ -57,8 +57,8 @@ bias = ad.parameter(np.zeros(3))
 
 
 def f():
-    h = ad.gelu(ad.add_rowvec(ad.matmul(x, w), b))
-    out = ad.layer_norm_rows(ad.matmul(h, w2), gain, bias)
+    h = ad.gelu(ad.linear(x, w, b))
+    out = ad.layer_norm_rows(ad.linear(h, w2), gain, bias)
     return ad.inner_sum([ad.mul(out, out)], [np.full((3, 3), 1.0 / 9)])   # mean of squares
 
 

@@ -16,15 +16,14 @@ imports ``scipy.special``, so importing the package, generating data and
 building a model do not pay for it.
 
 Tensors are batch-first: every axis before the last two (or before the
-last one, for row-vector ops) is a *leading* axis, and the row-wise ops
-(``matmul``, ``add_rowvec``, ``layer_norm_rows``, ``attention``,
-``sum_rows``, ``concat_rows``) act on each leading-axis slice
-independently.  Shapes are otherwise strict.  The only implicit
-broadcast is of a parameter across leading axes: a 2-d ``matmul``
-right operand, the vector of ``add_rowvec`` and the ``layer_norm_rows``
-gain and bias apply to every slice, and their gradients are summed over
-the leading axes.  ``broadcast_batch`` makes that broadcast explicit
-for any tensor.
+last one, for the per-row ``layer_norm_rows`` and ``sum_rows``) is a
+*leading* axis, and the row-wise ops (``linear``, ``layer_norm_rows``,
+``attention``, ``sum_rows``, ``concat_rows``) act on each leading-axis
+slice independently.  Shapes are otherwise strict.  The only implicit broadcast is of a parameter
+across leading axes: the ``linear`` weight and bias and the
+``layer_norm_rows`` gain and bias apply to every slice, and their
+gradients are summed over the leading axes.  ``broadcast_batch`` makes
+that broadcast explicit for any tensor.
 
 A graph holds memory only while a backward pass can still use it.
 Inside ``with no_grad():`` every primitive returns a plain tensor with no
@@ -55,9 +54,8 @@ __all__ = [
     "no_grad",
     "constant",
     "parameter",
-    "matmul",
+    "linear",
     "add",
-    "add_rowvec",
     "broadcast_batch",
     "mul",
     "gelu",
@@ -191,32 +189,34 @@ def _sum_leading(g: np.ndarray) -> np.ndarray:
 # primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, slice by slice:
-    (..., m, k) @ (k, n) or (..., m, k) @ (..., k, n) -> (..., m, n).
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Linear map x @ w (+ b) over the last axis, slice by slice:
+    (..., m, k) with a (k, n) weight and an optional length-n bias
+    -> (..., m, n).
 
-    A 2-d right operand (a weight) multiplies every leading-axis slice of
-    ``a``; otherwise the leading axes of both operands must be equal.
-    Backward: dA += G @ B^T, dB += A^T @ G, where a 2-d B's gradient is
-    summed over the leading axes.
+    The weight and bias apply to every leading-axis slice of ``x``.
+    Backward: dX += G @ W^T; dW += X^T @ G and db += G, both summed over
+    the leading axes.
     """
-    ad_, bd = a.data, b.data
-    if (ad_.ndim < 2 or bd.ndim < 2 or ad_.shape[-1] != bd.shape[-2]
-            or (bd.ndim > 2 and ad_.shape[:-2] != bd.shape[:-2])):
-        raise ShapeError(f"matmul shapes do not match: {a.shape} @ {b.shape}")
-    out_data = ad_ @ bd
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.ndim < 2 or xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"linear needs (..., m, k) @ (k, n), got {x.shape} @ {w.shape}")
+    k, n = wd.shape
+    if b is not None and b.shape != (n,):
+        raise ShapeError(f"linear bias must be ({n},) for weight {w.shape}, got {b.shape}")
+    out_data = xd @ wd
+    if b is not None:
+        out_data += b.data
 
     def _bw(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            if b.data.ndim == 2:
-                k, n = b.data.shape
-                _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
-            else:
-                _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n))
+        if b is not None and b.requires_grad:
+            _accumulate(b, _sum_leading(g))
 
-    return _from_op(out_data, (a, b), _bw)
+    return _from_op(out_data, (x, w) if b is None else (x, w, b), _bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -229,24 +229,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g)
 
     return _from_op(a.data + b.data, (a, b), _bw)
-
-
-def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Add a length-n vector along the last axis of an (..., n) tensor
-    (bias addition).
-
-    Backward: dX += G, dv += G summed over every leading axis.
-    """
-    if x.data.ndim == 0 or v.data.ndim != 1 or v.data.shape[0] != x.data.shape[-1]:
-        raise ShapeError(f"add_rowvec needs a vector as long as the last axis of "
-                         f"{x.shape}, got {v.shape}")
-
-    def _bw(g: np.ndarray) -> None:
-        _accumulate(x, g)
-        if v.requires_grad:
-            _accumulate(v, _sum_leading(g))
-
-    return _from_op(x.data + v.data, (x, v), _bw)
 
 
 def broadcast_batch(x: Tensor, n: int) -> Tensor:

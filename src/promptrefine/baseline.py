@@ -52,8 +52,7 @@ def baseline_forward_batch(features, params: BaselineParams) -> Tensor:
     if features.ndim != 3:
         raise ad.ShapeError(f"features must be (B, v, d0), got {features.shape}")
     pooled = features.mean(axis=1)
-    logits = ad.add_rowvec(ad.matmul(ad.constant(pooled), params.w), params.b)
-    return ad.sigmoid(logits)
+    return ad.sigmoid(ad.linear(ad.constant(pooled), params.w, params.b))
 
 
 def score_baseline(params: BaselineParams, dataset: LongTailDataset) -> np.ndarray:

@@ -208,13 +208,10 @@ def generate_synthetic_lt(cfg: GeneratorConfig) -> tuple[LongTailDataset, LongTa
     affinity = rng.uniform(0.0, 1.0, size=(cfg.c, cfg.c))
     np.fill_diagonal(affinity, 0.0)
 
-    # split each class's count into primary samples and a co-label quota
-    if cfg.co_occurrence_strength > 0:
-        quota = np.minimum(np.rint(cfg.co_occurrence_strength * counts).astype(np.int64),
-                           counts - 1)
-        quota = np.maximum(quota, 0)
-    else:
-        quota = np.zeros(cfg.c, dtype=np.int64)
+    # split each class's count into primary samples and a co-label quota;
+    # every count is >= 1, so each class keeps at least one primary
+    quota = np.minimum(np.rint(cfg.co_occurrence_strength * counts).astype(np.int64),
+                       counts - 1)
     primaries = counts - quota
 
     primary_class = np.repeat(np.arange(cfg.c), primaries)

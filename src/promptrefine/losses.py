@@ -3,13 +3,13 @@
 One loss builds a graph node: the asymmetric loss ``asl``.  Binary
 cross-entropy and the symmetric focal loss are presets of it,
 (gamma_pos, gamma_neg, mu) = (0, 0, 0) and (gamma, gamma, 0).  The loss
-takes a score tensor ``s`` holding probabilities — a ``(c,)`` vector for
-one sample or an ``(r, c)`` matrix for a batch — plus a same-shaped
-binary label array.  The scalar result is the mean over samples of the
-per-sample sum over classes, so the single-sample and batched forms
-agree.  Each log's argument is clamped to ``[eps, ...]`` so saturated
-probabilities cannot produce infinities; a NaN or infinite score, which
-the clamps would turn into a finite loss, raises ``NonFiniteError``.
+takes a score tensor ``s`` holding probabilities, an ``(r, c)`` matrix
+for a batch of r samples (one sample is a batch of one), plus a
+same-shaped binary label array.  The scalar result is the mean over
+samples of the per-sample sum over classes.  Each log's argument is
+clamped to ``[eps, ...]`` so saturated probabilities cannot produce
+infinities; a NaN or infinite score, which the clamps would turn into a
+finite loss, raises ``NonFiniteError``.
 
 ``asl`` is a single node whose parent is ``s``, built with the engine's
 own node constructor: its forward is one numpy pass and its backward the
@@ -64,14 +64,13 @@ def _check_inputs(s: Tensor, y: np.ndarray) -> tuple[np.ndarray, int]:
     y = np.asarray(y, dtype=np.float64)
     if s.shape != y.shape:
         raise ad.ShapeError(f"scores {s.shape} and labels {y.shape} differ")
-    if s.data.ndim not in (1, 2):
-        raise ad.ShapeError(f"scores must be a vector or matrix, got {s.shape}")
+    if s.data.ndim != 2:
+        raise ad.ShapeError(f"scores must be a (B, c) matrix, got {s.shape}")
     if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("labels must be binary")
     if (bad := ~np.isfinite(s.data)).any():
         raise ad.NonFiniteError(f"scores are not finite: {np.unique(s.data[bad])}")
-    rows = s.shape[0] if s.data.ndim == 2 else 1
-    return y, rows
+    return y, s.shape[0]
 
 
 def _power_slope(base: np.ndarray, gamma: float) -> np.ndarray:

@@ -180,7 +180,7 @@ def init_model(dims: ModelDims, embedding: Tensor, seed: int,
 def project_features(f_loc: Tensor, params: ModelParams) -> Tensor:
     """Map raw visual tokens (..., v, d0) into the joint space -> (..., v, d)."""
     t = params.tensors
-    return ad.add_rowvec(ad.matmul(f_loc, t["projection.w"]), t["projection.b"])
+    return ad.linear(f_loc, t["projection.w"], t["projection.b"])
 
 
 def init_prompts(params: ModelParams) -> Tensor:
@@ -190,9 +190,8 @@ def init_prompts(params: ModelParams) -> Tensor:
     the sample or its labels.
     """
     t = params.tensors
-    hidden = ad.gelu(ad.add_rowvec(ad.matmul(params.embedding, t["prompt_init.w1"]),
-                                   t["prompt_init.b1"]))
-    return ad.add_rowvec(ad.matmul(hidden, t["prompt_init.w2"]), t["prompt_init.b2"])
+    hidden = ad.gelu(ad.linear(params.embedding, t["prompt_init.w1"], t["prompt_init.b1"]))
+    return ad.linear(hidden, t["prompt_init.w2"], t["prompt_init.b2"])
 
 
 def vsi_forward(F: Tensor, P: Tensor, params: ModelParams) -> Tensor:
@@ -215,18 +214,16 @@ def vsi_forward(F: Tensor, P: Tensor, params: ModelParams) -> Tensor:
     t = params.tensors
     literal = params.literal_equations
     z = ad.concat_rows(F, P)
-    k, v = ad.matmul(z, t["interaction.w_k"]), ad.matmul(z, t["interaction.w_v"])
-    del z   # under no_grad nothing else holds it: scoring peaks lower
-    x = ad.attention(ad.matmul(P, t["interaction.w_q"]), k, v,
+    k, v = ad.linear(z, t["interaction.w_k"]), ad.linear(z, t["interaction.w_v"])
+    del F, z   # under no_grad nothing else holds them: scoring peaks lower
+    x = ad.attention(ad.linear(P, t["interaction.w_q"]), k, v,
                      1 if literal else params.dims.heads)
     if not literal:   # output map, residual, norm
-        x = ad.layer_norm_rows(ad.add(P, ad.matmul(x, t["interaction.w_attn_out"])),
+        x = ad.layer_norm_rows(ad.add(P, ad.linear(x, t["interaction.w_attn_out"])),
                                t["interaction.ln1_gain"], t["interaction.ln1_bias"],
                                eps=LN_EPS)
-    hidden = ad.gelu(ad.add_rowvec(ad.matmul(x, t["interaction.w_ffn_in"]),
-                                   t["interaction.b_ffn_in"]))
-    ffn = ad.add_rowvec(ad.matmul(hidden, t["interaction.w_ffn_out"]),
-                        t["interaction.b_ffn_out"])
+    hidden = ad.gelu(ad.linear(x, t["interaction.w_ffn_in"], t["interaction.b_ffn_in"]))
+    ffn = ad.linear(hidden, t["interaction.w_ffn_out"], t["interaction.b_ffn_out"])
     if literal:
         return ffn
     return ad.layer_norm_rows(ad.add(x, ffn), t["interaction.ln2_gain"],
@@ -263,9 +260,9 @@ def forward_batch(features, params: ModelParams) -> Tensor:
     the prompts' gradient carries both routes, summed over the batch.
     """
     features = _check_batch(features, params.dims)
-    F = project_features(ad.constant(features), params)
     P = ad.broadcast_batch(init_prompts(params), features.shape[0])
-    return classify(vsi_forward(F, P, params), P)
+    # the tokens go straight into vsi_forward, which drops them once used
+    return classify(vsi_forward(project_features(ad.constant(features), params), P, params), P)
 
 
 def dual_path_grads(features, labels: np.ndarray, params: ModelParams,

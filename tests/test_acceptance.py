@@ -235,10 +235,10 @@ class TestLossFamily:
             worst = max(worst, abs(float(asl(s, y, degen).data) - ref),
                         abs(float(focal(s, y, 0.0).data) - ref))
 
-        asl_val = float(asl(ad.constant(np.array([0.2])), np.array([0.0]),
+        asl_val = float(asl(ad.constant(np.array([[0.2]])), np.array([[0.0]]),
                             ASLConfig(gamma_pos=0.0, gamma_neg=4.0,
                                       mu=0.05)).data)
-        focal_val = float(focal(ad.constant(np.array([0.9])), np.array([1.0]),
+        focal_val = float(focal(ad.constant(np.array([[0.9]])), np.array([[1.0]]),
                                 2.0).data)
         scalars_ok = (abs(asl_val - 8.22752e-05) / 8.22752e-05 < 5e-6
                       and abs(focal_val - 1.05361e-03) / 1.05361e-03 < 5e-6)

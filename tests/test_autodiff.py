@@ -1,11 +1,12 @@
 """Tests for the reverse-mode engine.
 
 Every derived expectation is computed by an independent oracle living in
-this file (triple-loop matmul, scalar math, central finite differences)
+this file (triple-loop matrix product, scalar math, central finite differences)
 rather than by the engine under test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,14 +57,40 @@ class TestForwardValues:
             m, k, n = rng.integers(1, 7, size=3)
             a = rng.standard_normal((m, k))
             b = rng.standard_normal((k, n))
-            got = ad.matmul(ad.constant(a), ad.constant(b)).data
+            got = ad.linear(ad.constant(a), ad.constant(b)).data
             np.testing.assert_allclose(got, matmul_oracle(a, b), rtol=1e-13)
+
+    def test_linear_matches_triple_loop_oracle_with_and_without_bias(self):
+        """Every leading-axis slice gets the weight, and the bias on each row."""
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((2, 3, 4))
+        w = rng.standard_normal((4, 5))
+        bias = rng.standard_normal(5)
+        plain = ad.linear(ad.constant(x), ad.constant(w)).data
+        biased = ad.linear(ad.constant(x), ad.constant(w), ad.constant(bias)).data
+        for i in range(2):
+            want = matmul_oracle(x[i], w)
+            np.testing.assert_allclose(plain[i], want, rtol=1e-13)
+            np.testing.assert_allclose(biased[i], want + bias, rtol=1e-13)
 
     def test_matmul_shape_mismatch_names_both_shapes(self):
         a = ad.constant(np.zeros((2, 3)))
         b = ad.constant(np.zeros((4, 2)))
         with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-            ad.matmul(a, b)
+            ad.linear(a, b)
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((2, 3, 4), (2, 4, 5), None),   # a stack of weights is not a weight
+        ((4,), (4, 5), None),           # x needs a row axis
+        ((3, 4), (4, 5), (4,)),         # the bias must be as long as the output
+        ((3, 4), (4, 5), (1, 5)),
+    ])
+    def test_linear_refuses_bad_shapes_and_names_them(self, x_shape, w_shape, b_shape):
+        x, w = ad.constant(np.zeros(x_shape)), ad.constant(np.zeros(w_shape))
+        b = None if b_shape is None else ad.constant(np.zeros(b_shape))
+        named = b_shape if b_shape is not None else w_shape
+        with pytest.raises(ad.ShapeError, match=re.escape(str(named))):
+            ad.linear(x, w, b)
 
     def test_gelu_known_values(self):
         # gelu(0) = 0; gelu(x) = x * Phi(x) with Phi the standard normal CDF.
@@ -122,23 +149,22 @@ class TestBackward:
         coeffs = rng.standard_normal((5, 3))
 
         def f():
-            return ad.inner_sum([ad.matmul(x, w)], [coeffs])
+            return ad.inner_sum([ad.linear(x, w)], [coeffs])
 
         result = ad.grad_check(f, {"w": w}, eps=1e-5)
         assert result.max_rel_error < 1e-9
 
     def test_matmul_gradients_match_finite_differences(self):
-        """2-d, a 2-d weight applied to every slice of a 3-d input (its
-        gradient sums over the slices), and slice-by-slice 3-d products."""
+        """2-d, and a 2-d weight applied to every slice of a 3-d input (its
+        gradient sums over the slices)."""
         rng = np.random.default_rng(0)
-        for a_shape, b_shape in [((3, 4), (4, 2)), ((2, 3, 4), (4, 2)),
-                                 ((2, 3, 4), (2, 4, 5))]:
+        for a_shape, b_shape in [((3, 4), (4, 2)), ((2, 3, 4), (4, 2))]:
             a_val = rng.standard_normal(a_shape)
             b_val = rng.standard_normal(b_shape)
             w = rng.standard_normal(np.matmul(a_val, b_val).shape)
             a = ad.parameter(a_val.copy())
             b = ad.parameter(b_val.copy())
-            loss = ad.inner_sum([ad.matmul(a, b)], [w])
+            loss = ad.inner_sum([ad.linear(a, b)], [w])
             ad.backward(loss)
 
             na = numeric_grad(lambda v: ((v @ b_val) * w).sum(), a_val)
@@ -222,7 +248,7 @@ class TestBackward:
             w = ad.parameter(w_val.copy())
             a = w if use_a else ad.constant(w_val)
             b = w if use_b else ad.constant(w_val)
-            out = ad.add(ad.matmul(a, ad.constant(m)), ad.mul(b, b))
+            out = ad.add(ad.linear(a, ad.constant(m)), ad.mul(b, b))
             ad.backward(ad.inner_sum([out], [np.ones((3, 3))]))
             return w.grad_or_zeros()
 
@@ -243,7 +269,7 @@ class TestBackward:
 
         def run():
             p = ad.parameter(vals[0].copy())
-            z = ad.matmul(ad.gelu(p), ad.constant(vals[1]))
+            z = ad.linear(ad.gelu(p), ad.constant(vals[1]))
             z = ad.add(z, ad.constant(vals[2]))
             z = ad.attention(z, z, p, 2)
             ad.backward(ad.inner_sum([ad.mul(z, z)], [np.ones((4, 4))]))
@@ -290,12 +316,17 @@ class TestGraphSemantics:
         for p in parts:
             np.testing.assert_allclose(p.grad, np.full((1, 4), 1.0 / 12), rtol=1e-15)
 
-    def test_add_rowvec_bias_gradient_sums_over_rows(self):
+    def test_linear_bias_gradient_sums_over_leading_axes(self):
+        """With an identity weight the output is x + b, so b's gradient is
+        the output gradient summed over every row of every slice."""
+        rng = np.random.default_rng(19)
         for shape in [(5, 3), (2, 5, 3)]:
-            x = ad.constant(np.zeros(shape))
+            x = ad.parameter(rng.standard_normal(shape))
             b = ad.parameter(np.zeros(3))
-            ad.backward(ad.inner_sum([ad.add_rowvec(x, b)], [np.ones(shape)]))
-            np.testing.assert_array_equal(b.grad, np.full(3, x.size / 3))
+            g = rng.standard_normal(shape)
+            ad.backward(ad.inner_sum([ad.linear(x, ad.constant(np.eye(3)), b)], [g]))
+            np.testing.assert_allclose(b.grad, g.reshape(-1, 3).sum(axis=0), rtol=1e-14)
+            np.testing.assert_array_equal(x.grad, g)
 
 
 def attention_oracle(q, k, v, heads):
@@ -389,7 +420,7 @@ class TestAttention:
 
 def _graph_chain(x, w, gain, bias):
     """A chain through most primitives, ending in a scalar."""
-    z = ad.layer_norm_rows(ad.gelu(ad.matmul(x, w)), gain, bias)
+    z = ad.layer_norm_rows(ad.gelu(ad.linear(x, w)), gain, bias)
     s = ad.attention(times(z, 0.5), z, z, 1)
     return ad.inner_sum([ad.mul(ad.sigmoid(z), s)], [np.full(s.shape, 1.0 / s.size)])
 
@@ -428,7 +459,7 @@ class TestGraphMemory:
 
     def test_backward_frees_the_graph_and_keeps_held_grads(self):
         x, w, gain, bias = self._params()
-        hidden = ad.gelu(ad.matmul(x, w))
+        hidden = ad.gelu(ad.linear(x, w))
         loss = ad.inner_sum([ad.mul(ad.layer_norm_rows(hidden, gain, bias), hidden)],
                             [np.full(hidden.shape, 1.0 / hidden.size)])
         ad.backward(loss)

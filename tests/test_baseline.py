@@ -82,9 +82,9 @@ class TestTraining:
                                     learning_rate=1e-2, seed=2)
         assert trained.map_total > untrained.map_total + 0.15
 
-    def test_one_training_step_builds_five_tensors(self, monkeypatch):
-        """The pooled features, matmul, bias, sigmoid and the one-node
-        loss: a step through ``run_epoch`` builds nothing else."""
+    def test_one_training_step_builds_four_tensors(self, monkeypatch):
+        """The pooled features, linear, sigmoid and the one-node loss: a
+        step through ``run_epoch`` builds nothing else."""
         train_ds, _ = tiny_data()
         params = init_baseline(5, 6, seed=0)
         adam = Adam(params.learnable(), 1e-3, 1e-4)
@@ -98,4 +98,4 @@ class TestTraining:
         monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
         run_epoch(train_ds, 0, 0, len(train_ds),
                   lambda batch: baseline_forward_batch(batch, params), get_loss("asl"), adam)
-        assert len(built) == 5
+        assert len(built) == 4

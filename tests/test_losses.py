@@ -14,9 +14,7 @@ from promptrefine.losses import ASLConfig, asl, bce, focal, get_loss
 
 def asl_oracle(s: np.ndarray, y: np.ndarray, gamma_pos: float, gamma_neg: float,
                mu: float, eps: float = 1e-8) -> float:
-    """Straight-line reimplementation: plain python over flat arrays."""
-    s = np.atleast_2d(s)
-    y = np.atleast_2d(y)
+    """Straight-line reimplementation: plain python over (r, c) arrays."""
     total = 0.0
     for r in range(s.shape[0]):
         for j in range(s.shape[1]):
@@ -32,18 +30,18 @@ class TestFrozenScalars:
     def test_negative_branch_worked_example(self):
         """y=0, s=0.2, mu=0.05, gamma_neg=4 -> 8.22752e-05 (6 sig digits)."""
         cfg = ASLConfig(gamma_pos=0.0, gamma_neg=4.0, mu=0.05)
-        loss = asl(ad.constant(np.array([0.2])), np.array([0.0]), cfg)
+        loss = asl(ad.constant(np.array([[0.2]])), np.array([[0.0]]), cfg)
         assert float(loss.data) == pytest.approx(8.22752e-05, rel=5e-6)
 
     def test_focal_positive_branch_worked_example(self):
         """y=1, s=0.9, gamma=2 -> 1.05361e-03 (6 sig digits)."""
-        loss = focal(ad.constant(np.array([0.9])), np.array([1.0]), gamma=2.0)
+        loss = focal(ad.constant(np.array([[0.9]])), np.array([[1.0]]), gamma=2.0)
         assert float(loss.data) == pytest.approx(1.05361e-03, rel=5e-6)
 
     def test_negative_at_or_below_margin_contributes_exactly_zero(self):
         cfg = ASLConfig(gamma_pos=0.0, gamma_neg=4.0, mu=0.05)
         for s_val in (0.01, 0.05):
-            loss = asl(ad.constant(np.array([s_val])), np.array([0.0]), cfg)
+            loss = asl(ad.constant(np.array([[s_val]])), np.array([[0.0]]), cfg)
             assert float(loss.data) == 0.0
 
 
@@ -55,8 +53,8 @@ class TestDegenerationIdentity:
         cfg = ASLConfig(gamma_pos=0.0, gamma_neg=0.0, mu=0.0)
         for _ in range(1000):
             c = int(rng.integers(1, 12))
-            s_val = rng.uniform(0.001, 0.999, size=c)
-            y = (rng.random(c) < 0.4).astype(float)
+            s_val = rng.uniform(0.001, 0.999, size=(1, c))
+            y = (rng.random((1, c)) < 0.4).astype(float)
             a = float(asl(ad.constant(s_val), y, cfg).data)
             b = float(bce(ad.constant(s_val), y).data)
             f = float(focal(ad.constant(s_val), y, gamma=0.0).data)
@@ -86,16 +84,17 @@ class TestBatchReduction:
         y = (rng.random((6, 7)) < 0.3).astype(float)
         y[:, 0] = 1.0  # ensure a positive per row
         batched = float(asl(ad.constant(s_val), y).data)
-        per_sample = [float(asl(ad.constant(s_val[i]), y[i]).data) for i in range(6)]
+        per_sample = [float(asl(ad.constant(s_val[i:i + 1]), y[i:i + 1]).data)
+                      for i in range(6)]
         assert batched == pytest.approx(np.mean(per_sample), rel=1e-13)
 
-    def test_single_sample_vector_equals_one_row_matrix(self):
-        rng = np.random.default_rng(6)
-        s_val = rng.uniform(0.01, 0.99, size=5)
-        y = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
-        v = float(asl(ad.constant(s_val), y).data)
-        m = float(asl(ad.constant(s_val[None, :]), y[None, :]).data)
-        assert v == m
+    @pytest.mark.parametrize("shape", [(5,), (1, 1, 5)], ids=["vector", "3-d"])
+    def test_scores_that_are_not_a_matrix_are_refused(self, shape):
+        """One sample is a batch of one: a (c,) vector, like any score
+        array that is not (B, c), raises ShapeError."""
+        s = ad.constant(np.full(shape, 0.5))
+        with pytest.raises(ad.ShapeError, match=r"\(B, c\) matrix"):
+            asl(s, np.ones(shape))
 
 
 class TestGradients:
@@ -110,23 +109,23 @@ class TestGradients:
         s_val = np.concatenate([
             rng.uniform(0.1, 0.9, size=8),
             [0.05 - 1e-3, 0.05 + 1e-3],
-        ])
-        y = (rng.random(10) < 0.5).astype(float)
+        ])[None]
+        y = (rng.random((1, 10)) < 0.5).astype(float)
         s = ad.parameter(s_val)
         result = ad.grad_check(lambda: make_loss(s, y), {"s": s}, eps=1e-7)
         assert result.max_rel_error < 1e-6
 
     def test_gradient_is_exactly_zero_at_the_margin_kink(self):
         cfg = ASLConfig(gamma_pos=0.0, gamma_neg=4.0, mu=0.05)
-        s = ad.parameter(np.array([0.05]))
-        loss = asl(s, np.array([0.0]), cfg)
+        s = ad.parameter(np.array([[0.05]]))
+        loss = asl(s, np.array([[0.0]]), cfg)
         ad.backward(loss)
-        np.testing.assert_array_equal(s.grad_or_zeros(), np.zeros(1))
+        np.testing.assert_array_equal(s.grad_or_zeros(), np.zeros((1, 1)))
 
     def test_loss_finite_at_saturated_scores(self):
         """eps-clamping keeps the loss finite at s = 0 and s = 1 exactly."""
-        y = np.array([1.0, 0.0, 1.0, 0.0])
-        s = ad.constant(np.array([0.0, 1.0, 1.0, 0.0]))
+        y = np.array([[1.0, 0.0, 1.0, 0.0]])
+        s = ad.constant(np.array([[0.0, 1.0, 1.0, 0.0]]))
         for loss in (asl(s, y), bce(s, y), focal(s, y)):
             assert np.isfinite(loss.data).all()
 
@@ -158,8 +157,9 @@ CFG_IDS = ["gamma0", "gamma1", "gamma0.5", "asl", "mixed"]
 
 
 class TestFusedNode:
+    # "vector" is one sample's scores, a batch of one; "matrix" a batch of several
     @pytest.mark.parametrize("cfg", FUSED_CFGS, ids=CFG_IDS)
-    @pytest.mark.parametrize("shape", [(9,), (3, 7)], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("shape", [(1, 9), (3, 7)], ids=["vector", "matrix"])
     def test_gradient_matches_finite_differences_of_the_oracle(self, cfg, shape):
         rng = np.random.default_rng(8)
         s_val = rng.uniform(0.02, 0.98, size=shape)
@@ -169,7 +169,7 @@ class TestFusedNode:
                                    rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("gamma_neg", [0.0, 0.5, 1.0, 4.0])
-    @pytest.mark.parametrize("shape", [(4,), (2, 2)], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 2)], ids=["vector", "matrix"])
     def test_zero_gradient_at_and_below_the_margin(self, gamma_neg, shape):
         """A negative scored at the kink (s == mu) or below it gets exactly 0."""
         cfg = ASLConfig(0.0, gamma_neg, 0.2)
@@ -177,7 +177,7 @@ class TestFusedNode:
         np.testing.assert_array_equal(node_grad(s_val, np.zeros(shape), cfg), np.zeros(shape))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("shape", [(4,), (2, 2)], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 2)], ids=["vector", "matrix"])
     def test_clamp_floors_pass_no_log_gradient(self, gamma, shape):
         """Below its floor a branch's log is the constant log(eps): the
         gradient is what its focusing factor alone gives, exactly 0 for
@@ -187,7 +187,7 @@ class TestFusedNode:
         s_val = np.array([0.005, 0.002, 0.995, 0.999]).reshape(shape)
         y = np.array([1.0, 1.0, 0.0, 0.0]).reshape(shape)
         got = node_grad(s_val, y, cfg)
-        rows = s_val.shape[0] if s_val.ndim == 2 else 1
+        rows = s_val.shape[0]
         b = s_val.reshape(-1)
         slope_pos = gamma * (1 - b[:2]) ** (gamma - 1)
         slope_neg = gamma * b[2:] ** (gamma - 1)
@@ -232,7 +232,7 @@ class TestFusedNode:
 class TestValidationAndRegistry:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ad.ShapeError):
-            asl(ad.constant(np.zeros(3)), np.zeros(4))
+            asl(ad.constant(np.zeros((1, 3))), np.zeros((1, 4)))
 
     @pytest.mark.parametrize("loss", [asl, bce, focal])
     def test_non_finite_scores_raise(self, loss):
@@ -246,7 +246,7 @@ class TestValidationAndRegistry:
 
     def test_non_binary_labels_raise(self):
         with pytest.raises(ValueError, match="binary"):
-            asl(ad.constant(np.full(3, 0.5)), np.array([0.0, 0.5, 1.0]))
+            asl(ad.constant(np.full((1, 3), 0.5)), np.array([[0.0, 0.5, 1.0]]))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -256,8 +256,8 @@ class TestValidationAndRegistry:
 
     def test_get_loss_resolves_all_names(self):
         rng = np.random.default_rng(1)
-        s_val = rng.uniform(0.1, 0.9, size=4)
-        y = np.array([1.0, 0.0, 0.0, 1.0])
+        s_val = rng.uniform(0.1, 0.9, size=(1, 4))
+        y = np.array([[1.0, 0.0, 0.0, 1.0]])
         for name, keys in (("asl", {"gamma_pos": 0.0, "gamma_neg": 4.0, "mu": 0.05}),
                            ("bce", {}), ("focal", {"gamma": 2.0})):
             fn = get_loss(name, keys)
@@ -268,8 +268,8 @@ class TestValidationAndRegistry:
             get_loss("hinge")
 
     def test_get_loss_asl_honours_config_values(self):
-        s_val = np.array([0.2])
-        y = np.array([0.0])
+        s_val = np.array([[0.2]])
+        y = np.array([[0.0]])
         fn = get_loss("asl", {"gamma_pos": 0.0, "gamma_neg": 4.0, "mu": 0.05})
         assert float(fn(ad.constant(s_val), y).data) == pytest.approx(8.22752e-05, rel=5e-6)
         plain = get_loss("asl", {"gamma_pos": 0.0, "gamma_neg": 0.0, "mu": 0.0})

@@ -449,12 +449,12 @@ class TestTrainingLoop:
         b = open(r2.final_checkpoint, "rb").read()
         assert a == b
 
-    @pytest.mark.parametrize("literal, nodes", [(False, 28), (True, 23)])
+    @pytest.mark.parametrize("literal, nodes", [(False, 23), (True, 18)])
     def test_one_training_step_builds_a_fixed_number_of_tensors(self, monkeypatch,
                                                                  literal, nodes):
         """Queries and every stage after attention run on the prompt rows
-        only, and attention is one node.  Per step: projection 3, prompt
-        net 5, broadcast 1, [F; P] 1, q/k/v 3, attention 1, feed-forward 5,
+        only, and attention is one node.  Per step: projection 2, prompt
+        net 3, broadcast 1, [F; P] 1, q/k/v 3, attention 1, feed-forward 3,
         classifier 3, loss 1; the standard path adds the output map, two
         residuals and two norms."""
         from promptrefine.data import embedding_provider

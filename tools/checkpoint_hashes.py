@@ -1,6 +1,6 @@
-"""Byte-identity check of training, the dual-path gradient split and the
-gradient check: the lines a change that claims the same behaviour must
-leave as they were.
+"""Byte-identity check of training, the dual-path gradient split, the
+gradient check and the baseline: the lines a change that claims the same
+behaviour must leave as they were.
 
 Training: each of six runs trains the prompt model on bench-A data
 (``bench/workloads.py``: ``BENCH_A_GEN``, ``BENCH_A_DIMS``,
@@ -17,14 +17,18 @@ embedding seed 3), hashed over every returned array.
 Gradient check: the output line of ``promptrefine gradcheck`` on the
 benchmark's gradcheck config (``workloads.setup("gradcheck", 3, ...)``).
 
+Baseline: ``baseline.train_baseline`` on the same bench-A data for
+``BASELINE_EPOCHS`` at seed 3 with ``BENCH_A_TRAIN``, once per loss,
+hashed over the learned ``w`` and ``b``.
+
 Run from the repository root:
 
     python3 tools/checkpoint_hashes.py
 
-It prints one line per training run, then the dual-path and gradcheck
-lines, and exits 1 if any resume differs or the gradcheck fails.  The
-prefixes are a fingerprint of the arithmetic on this platform: compare
-them between two versions of the code on one machine.
+It prints one line per training run, then the dual-path, gradcheck and
+baseline lines, and exits 1 if any resume differs or the gradcheck
+fails.  The prefixes are a fingerprint of the arithmetic on this
+platform: compare them between two versions of the code on one machine.
 """
 
 from __future__ import annotations
@@ -40,12 +44,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from promptrefine import cli  # noqa: E402
+from promptrefine.baseline import train_baseline  # noqa: E402
 from promptrefine.data import (GeneratorConfig, embedding_provider,  # noqa: E402
                                generate_synthetic_lt)
 from promptrefine.losses import get_loss  # noqa: E402
 from promptrefine.model import ModelDims, dual_path_grads, init_model  # noqa: E402
 from promptrefine.training import TrainConfig, train_on_datasets  # noqa: E402
-from workloads import BENCH_A_DIMS, BENCH_A_GEN, BENCH_A_TRAIN, setup  # noqa: E402
+from workloads import (BASELINE_EPOCHS, BENCH_A_DIMS, BENCH_A_GEN,  # noqa: E402
+                       BENCH_A_TRAIN, setup)
 
 SEED = 3
 EPOCHS = 3
@@ -70,6 +76,17 @@ def dual_path_digest(train_ds) -> str:
                             train_ds.labels[:DUAL_PATH_SAMPLES]):
                 for g in dual_path_grads(x, y, params, loss_fn):
                     h.update(g.tobytes())
+    return h.hexdigest()
+
+
+def baseline_digest(train_ds, test_ds) -> str:
+    """sha256 over the trained baseline's w and b, for each loss."""
+    h = hashlib.sha256()
+    for loss in LOSSES:
+        params, _ = train_baseline(train_ds, test_ds, loss_name=loss, epochs=BASELINE_EPOCHS,
+                                   seed=SEED, **BENCH_A_TRAIN)
+        h.update(params.w.data.tobytes())
+        h.update(params.b.data.tobytes())
     return h.hexdigest()
 
 
@@ -109,6 +126,7 @@ def main() -> int:
               f"({2 * len(LOSSES) * DUAL_PATH_SAMPLES} calls)", flush=True)
         rc, line = gradcheck(tmp)
         print(f"gradcheck {line}", flush=True)
+    print(f"baseline {baseline_digest(train_ds, test_ds)[:16]}", flush=True)
     return 0 if all_resumed and rc == 0 else 1
 
 
