@@ -18,12 +18,15 @@ building a model do not pay for it.
 Tensors are batch-first: every axis before the last two (or before the
 last one, for the per-row ``layer_norm_rows`` and ``sum_rows``) is a
 *leading* axis, and the row-wise ops (``linear``, ``layer_norm_rows``,
-``attention``, ``sum_rows``, ``concat_rows``) act on each leading-axis
-slice independently.  Shapes are otherwise strict.  The only implicit broadcast is of a parameter
-across leading axes: the ``linear`` weight and bias and the
-``layer_norm_rows`` gain and bias apply to every slice, and their
-gradients are summed over the leading axes.  ``broadcast_batch`` makes
-that broadcast explicit for any tensor.
+``attention``, ``sum_rows``, and ``concat_rows`` of two tensors) act on
+each leading-axis slice independently.  Shapes are otherwise strict.
+The only implicit broadcast is of a parameter across leading axes: the
+``linear`` weight and bias and the ``layer_norm_rows`` gain and bias
+apply to every slice, and their gradients are summed over the leading
+axes.  ``broadcast_batch`` makes that broadcast explicit for any tensor.
+
+``_accumulate`` is the one place that drops gradients deposited on constants;
+only ``linear`` skips computing its input's gradient when that input is constant.
 
 A graph holds memory only while a backward pass can still use it.
 Inside ``with no_grad():`` every primitive returns a plain tensor with no
@@ -209,11 +212,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         out_data += b.data
 
     def _bw(g: np.ndarray) -> None:
-        if x.requires_grad:
+        if x.requires_grad:   # features and the embedding are constants: skip a matmul
             _accumulate(x, g @ w.data.T)
-        if w.requires_grad:
-            _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n))
-        if b is not None and b.requires_grad:
+        _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n))
+        if b is not None:
             _accumulate(b, _sum_leading(g))
 
     return _from_op(out_data, (x, w) if b is None else (x, w, b), _bw)
@@ -364,38 +366,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     def _bw(g: np.ndarray) -> None:
         gh = split(g, nq)
-        if q.requires_grad or k.requires_grad:
-            da = gh @ np.swapaxes(vh, -1, -2)
-            da -= (da * s).sum(axis=-1, keepdims=True)
-            da *= s
-            da *= c
-            if q.requires_grad:
-                _accumulate(q, merge(da @ np.swapaxes(kt, -1, -2)))
-            if k.requires_grad:
-                dkt = np.swapaxes(qh, -1, -2) @ da   # (..., heads, dh, nk)
-                _accumulate(k, merge(np.swapaxes(dkt, -1, -2)))
-        if v.requires_grad:
-            _accumulate(v, merge(np.swapaxes(s, -1, -2) @ gh))
+        da = gh @ np.swapaxes(vh, -1, -2)
+        da -= (da * s).sum(axis=-1, keepdims=True)
+        da *= s
+        da *= c
+        _accumulate(q, merge(da @ np.swapaxes(kt, -1, -2)))
+        dkt = np.swapaxes(qh, -1, -2) @ da   # (..., heads, dh, nk)
+        _accumulate(k, merge(np.swapaxes(dkt, -1, -2)))
+        _accumulate(v, merge(np.swapaxes(s, -1, -2) @ gh))
 
     return _from_op(merge(s @ vh), (q, k, v), _bw)
 
 
-def concat_rows(*parts: Tensor) -> Tensor:
-    """Concatenate tensors along axis -2 (rows); every other axis must match."""
-    if len(parts) < 2:
-        raise ValueError("concat_rows needs at least two tensors")
-    first = parts[0].shape
-    for p in parts:
-        if p.data.ndim < 2 or p.shape[:-2] != first[:-2] or p.shape[-1] != first[-1]:
-            raise ShapeError(f"concat_rows shapes differ off axis -2: {first} vs {p.shape}")
-    sizes = [p.shape[-2] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+def concat_rows(a: Tensor, b: Tensor) -> Tensor:
+    """The rows of ``a`` over those of ``b``: (..., n, d), (..., m, d) -> (..., n + m, d)."""
+    if (a.data.ndim < 2 or b.data.ndim < 2 or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-1]):
+        raise ShapeError(f"concat_rows shapes differ off axis -2: {a.shape} vs {b.shape}")
+    n = a.shape[-2]
 
     def _bw(g: np.ndarray) -> None:
-        for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[..., a:b, :])
+        _accumulate(a, g[..., :n, :])
+        _accumulate(b, g[..., n:, :])
 
-    return _from_op(np.concatenate([p.data for p in parts], axis=-2), tuple(parts), _bw)
+    return _from_op(np.concatenate([a.data, b.data], axis=-2), (a, b), _bw)
 
 
 def sum_rows(x: Tensor) -> Tensor:
@@ -421,8 +415,7 @@ def inner_sum(xs: Iterable[Tensor], ws: Iterable[np.ndarray]) -> Tensor:
 
     def _bw(g: np.ndarray) -> None:
         for x, w in pairs:
-            if x.requires_grad:
-                _accumulate(x, g * w)
+            _accumulate(x, g * w)
 
     return _from_op(np.asarray(total), tuple(x for x, _ in pairs), _bw)
 
@@ -431,9 +424,7 @@ def inner_sum(xs: Iterable[Tensor], ws: Iterable[np.ndarray]) -> Tensor:
 # backward pass and gradient checking
 # ---------------------------------------------------------------------------
 
-def _freed(g: np.ndarray) -> None:
-    raise GraphFreedError("backward through a graph that an earlier backward "
-                          "already freed; rebuild the loss to backpropagate again")
+_FREED = object()   # the closure of every node an earlier backward swept
 
 
 def backward(loss: Tensor) -> None:
@@ -461,7 +452,7 @@ def backward(loss: Tensor) -> None:
     stack = [loss]
     while stack:
         t = stack.pop()
-        if t._backward is _freed:
+        if t._backward is _FREED:
             raise GraphFreedError(f"backward reached {t!r}, whose graph an earlier "
                                   "backward already freed; rebuild the loss")
         reachable.append(t)
@@ -478,7 +469,7 @@ def backward(loss: Tensor) -> None:
             if t.grad is not None:
                 t._backward(t.grad)
             t._parents = ()
-            t._backward = _freed
+            t._backward = _FREED
 
 
 @dataclass
@@ -486,10 +477,6 @@ class GradCheckResult:
     max_rel_error: float
     worst_param: str
     n_entries: int
-
-    def __str__(self) -> str:
-        return (f"max relative error {self.max_rel_error:.3e} "
-                f"at {self.worst_param} ({self.n_entries} entries checked)")
 
 
 def grad_check(f: Callable[[], Tensor],
@@ -507,14 +494,12 @@ def grad_check(f: Callable[[], Tensor],
     Non-finite values raise :class:`NonFiniteError` naming the offending
     parameter.
     """
-    if eps <= 0:
-        raise ValueError(f"grad_check eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"grad_check eps must be a finite number > 0, got {eps}")
     items = list(params.items())
     for _, t in items:
         t.zero_grad()
     loss = f()
-    if loss.data.size != 1:
-        raise ShapeError(f"grad_check needs a scalar loss, got shape {loss.shape}")
     if not np.isfinite(loss.data).all():
         raise NonFiniteError("grad_check: loss is not finite")
     backward(loss)

@@ -85,6 +85,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    for flag, value in (("eps", args.eps), ("tolerance", args.tolerance)):
+        if not 0 < value < float("inf"):   # NaN fails both comparisons
+            raise ValueError(f"--{flag} must be a finite number > 0, got {value}")
     cfg = _read_config(args.config)
     result = run_gradcheck(cfg, eps=args.eps)
     passed = result.max_rel_error < args.tolerance

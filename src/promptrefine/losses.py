@@ -1,8 +1,8 @@
 """Multi-label classification losses over per-class probabilities.
 
-One loss builds a graph node: the asymmetric loss ``asl``.  Binary
-cross-entropy and the symmetric focal loss are presets of it,
-(gamma_pos, gamma_neg, mu) = (0, 0, 0) and (gamma, gamma, 0).  The loss
+One loss builds a graph node: the asymmetric loss ``asl``.  The
+symmetric focal loss is a preset of it, (gamma_pos, gamma_neg, mu) =
+(gamma, gamma, 0), and binary cross-entropy is focal at gamma 0.  The loss
 takes a score tensor ``s`` holding probabilities, an ``(r, c)`` matrix
 for a batch of r samples (one sample is a batch of one), plus a
 same-shaped binary label array.  The scalar result is the mean over
@@ -144,9 +144,8 @@ def asl(s: Tensor, y: np.ndarray, cfg: ASLConfig | None = None) -> Tensor:
 
 
 def bce(s: Tensor, y: np.ndarray, eps: float = 1e-8) -> Tensor:
-    """Plain binary cross-entropy over probabilities: ASL with no focusing
-    and no margin."""
-    return asl(s, y, ASLConfig(0.0, 0.0, 0.0, eps))
+    """Plain binary cross-entropy over probabilities: focal at gamma 0."""
+    return focal(s, y, 0.0, eps)
 
 
 def focal(s: Tensor, y: np.ndarray, gamma: float = 2.0, eps: float = 1e-8) -> Tensor:
@@ -160,16 +159,14 @@ def focal(s: Tensor, y: np.ndarray, gamma: float = 2.0, eps: float = 1e-8) -> Te
 
 def get_loss(name: str, loss_cfg: dict | None = None) -> Callable[[Tensor, np.ndarray], Tensor]:
     """Resolve a loss by config name to ``asl`` under the matching
-    ``ASLConfig``.  ``loss_cfg`` holds the name's other keys, each
-    optional: ``gamma_pos`` / ``gamma_neg`` / ``mu`` for "asl", ``gamma``
-    for "focal", none for "bce".  An unknown name, an unknown key or a
-    mistyped value raises ValueError naming the key (see ``LOSS``).
+    ``ASLConfig``.  ``loss_cfg`` holds the name's other keys, each optional:
+    ``gamma_pos`` / ``gamma_neg`` / ``mu`` for "asl", ``gamma`` for "focal",
+    none for "bce" (focal at gamma 0).  An unknown name, an unknown key or
+    a mistyped value raises ValueError naming the key (see ``LOSS``).
     """
     loss = LOSS({**(loss_cfg or {}), "name": name}, "loss")
     if name == "asl":
         cfg = ASLConfig(loss["gamma_pos"], loss["gamma_neg"], loss["mu"])
-    elif name == "bce":
-        cfg = ASLConfig(0.0, 0.0, 0.0)
-    else:
-        cfg = ASLConfig(loss["gamma"], loss["gamma"], 0.0)
+    else:   # focal's preset; bce is focal at gamma 0
+        cfg = ASLConfig(loss.get("gamma", 0.0), loss.get("gamma", 0.0), 0.0)
     return lambda s, y: asl(s, y, cfg)

@@ -162,9 +162,9 @@ class TrainConfig:
 class Adam:
     """Adam with decoupled-nothing, classic formulation: weight decay is
     added to the gradient (g <- g + wd * theta), moments are bias-corrected.
-    Tensors that do not require grad are skipped entirely.  The moment
-    decays and eps are the constants ``SCALARS``; a checkpoint stores them
-    and a resume refuses other values."""
+    Tensors that do not require grad are skipped; a non-finite gradient stops
+    ``step`` before it changes any state.  The moment decays and eps are the
+    constants ``SCALARS``; a checkpoint stores them and a resume refuses others."""
 
     SCALARS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
 
@@ -181,6 +181,9 @@ class Adam:
             p.zero_grad()
 
     def step(self) -> None:
+        if bad := [name for name, p in self.params.items()
+                   if p.grad is not None and not np.isfinite(p.grad).all()]:
+            raise NonFiniteError(f"gradients are not finite: {bad}")
         self.t += 1
         b1, b2, eps = self.SCALARS["beta1"], self.SCALARS["beta2"], self.SCALARS["eps"]
         bc1 = 1.0 - b1 ** self.t
@@ -349,7 +352,8 @@ def run_epoch(train_ds: LongTailDataset, seed: int, epoch: int, batch_size: int,
     """One pass over ``train_ds`` in the order keyed by (seed, epoch), one
     Adam step per batch; returns the mean training loss.  A batch is a
     fancy index into the dataset's arrays; ``score`` maps its (B, v, d0)
-    features to the (B, c) score tensor."""
+    features to the (B, c) score tensor.  A non-finite score, loss or
+    gradient raises ``NonFiniteError`` naming the epoch and the batch."""
     order = np.random.default_rng([seed, epoch]).permutation(len(train_ds))
     total_loss = 0.0
     for b, start in enumerate(range(0, len(order), batch_size)):
@@ -359,10 +363,10 @@ def run_epoch(train_ds: LongTailDataset, seed: int, epoch: int, batch_size: int,
             loss = loss_fn(score(train_ds.features[idx]), train_ds.labels[idx])
             if not np.isfinite(loss.data).all():
                 raise NonFiniteError("non-finite loss")
+            ad.backward(loss)
+            adam.step()
         except NonFiniteError as exc:
             raise NonFiniteError(f"{exc} at epoch {epoch} batch {b}") from exc
-        ad.backward(loss)
-        adam.step()
         total_loss += float(loss.data) * len(idx)
     return total_loss / len(order)
 

@@ -180,7 +180,7 @@ class TestBackward:
         lambda t: times(ad.mul(t, ad.sigmoid(t)), -0.7),
         lambda t: ad.sum_rows(ad.mul(t, ad.gelu(t))),
         lambda t: ad.broadcast_batch(ad.gelu(t), 3),
-        lambda t: ad.concat_rows(t, ad.gelu(t), ad.sigmoid(t)),
+        lambda t: ad.concat_rows(ad.concat_rows(t, ad.gelu(t)), ad.sigmoid(t)),
         lambda t: ad.attention(ad.sigmoid(t), ad.concat_rows(t, ad.gelu(t)),
                                ad.concat_rows(t, t), 3),
     ])
@@ -288,6 +288,12 @@ class TestBackward:
         with pytest.raises(ValueError):
             ad.grad_check(lambda: ad.inner_sum([w], [np.ones(2)]), {"w": w}, eps=0.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_grad_check_refuses_an_eps_that_is_not_finite(self, eps):
+        w = ad.parameter(np.ones(2))
+        with pytest.raises(ValueError, match="eps must be a finite number > 0"):
+            ad.grad_check(lambda: ad.inner_sum([w], [np.ones(2)]), {"w": w}, eps=eps)
+
     @pytest.mark.parametrize("shape", [(1,), (1, 1)])
     def test_grad_check_takes_a_size_one_loss_of_any_rank(self, shape):
         w = ad.parameter(np.full(shape, 0.5))
@@ -311,7 +317,7 @@ class TestGraphSemantics:
         """Gradient of a mean over concatenated rows hits every source."""
         rng = np.random.default_rng(13)
         parts = [ad.parameter(rng.standard_normal((1, 4))) for _ in range(3)]
-        stacked = ad.concat_rows(*parts)
+        stacked = ad.concat_rows(ad.concat_rows(parts[0], parts[1]), parts[2])
         ad.backward(ad.inner_sum([stacked], [np.full((3, 4), 1.0 / 12)]))
         for p in parts:
             np.testing.assert_allclose(p.grad, np.full((1, 4), 1.0 / 12), rtol=1e-15)

@@ -133,6 +133,19 @@ class TestGradcheck:
         assert out.startswith("PASS")
         assert "max relative error" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("flag", ["eps", "tolerance"])
+    def test_flags_that_cannot_judge_are_refused(self, tmp_path, capsys, flag, value):
+        """Refused before the config is read: the config file does not exist."""
+        rc = main(["gradcheck", "--config", str(tmp_path / "missing.json"),
+                   f"--{flag}={value}"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip())
+        assert payload["error"] == "ValueError"
+        assert f"--{flag} must be a finite number > 0" in payload["message"]
+
     def test_oversized_model_is_reported(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, dims={"d0": 64, "d": 128, "v": 8, "c": 32,

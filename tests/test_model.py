@@ -307,4 +307,4 @@ class TestFullModelGradients:
             return asl(mdl.forward_batch(features[None], params), labels[None], ASLConfig())
 
         result = ad.grad_check(f, params.learnable(), eps=1e-5)
-        assert result.max_rel_error < 1e-4, str(result)
+        assert result.max_rel_error < 1e-4, result

@@ -127,6 +127,26 @@ class TestAdam:
         a, b = run(), run()
         assert a.tobytes() == b.tobytes()
 
+    def test_non_finite_gradient_is_refused_before_any_state_changes(self):
+        rng = np.random.default_rng(2)
+        params = {"a": ad.parameter(rng.standard_normal(3)),
+                  "b": ad.parameter(rng.standard_normal((2, 2)))}
+        adam = Adam(params, learning_rate=1e-2, weight_decay=1e-2)
+        for p in params.values():
+            p.grad = rng.standard_normal(p.shape)
+        adam.step()
+
+        def state():
+            arrays = [*adam.m.values(), *adam.v.values(), *(p.data for p in params.values())]
+            return adam.t, [a.tobytes() for a in arrays]
+
+        before = state()
+        params["a"].grad = rng.standard_normal(3)
+        params["b"].grad = np.array([[0.1, np.nan], [0.2, 0.3]])
+        with pytest.raises(ad.NonFiniteError, match=re.escape("gradients are not finite: ['b']")):
+            adam.step()
+        assert state() == before
+
 
 class TestTrainConfig:
     def test_round_trip(self):
@@ -565,6 +585,27 @@ class TestTrainingLoop:
         with pytest.raises(CheckpointMismatchError, match="5 class names, dims.c = 6"):
             restore(load_checkpoint(edited))
 
+    def test_restore_refuses_a_checkpoint_without_the_embedding(self, tmp_path):
+        train_ds, test_ds = tiny_data()
+        train_on_datasets(tiny_config(epochs=1), train_ds, test_ds, tmp_path / "run")
+        tensors, meta = read_container(tmp_path / "run" / "checkpoint_final.cprc",
+                                       training.CHECKPOINT_MAGIC, training.CHECKPOINT_SCHEMA)
+        del tensors["embedding.W"]
+        edited = tmp_path / "edited.cprc"
+        write_container(edited, training.CHECKPOINT_MAGIC, tensors, meta)
+        with pytest.raises(CheckpointMismatchError, match="checkpoint is missing embedding.W"):
+            restore(load_checkpoint(edited))
+
+    def test_evaluate_refuses_a_feature_file_with_other_class_names(self, tmp_path):
+        train_ds, test_ds = tiny_data()
+        r = train_on_datasets(tiny_config(epochs=1), train_ds, test_ds, tmp_path / "run")
+        renamed = tmp_path / "renamed.cprf"
+        save_features(LongTailDataset(test_ds.features, test_ds.labels,
+                                      [f"other_{i}" for i in range(test_ds.c)]), renamed)
+        with pytest.raises(CheckpointMismatchError,
+                           match=re.escape(f"{renamed}: class names differ from the checkpoint's")):
+            evaluate(r.final_checkpoint, renamed)
+
     @pytest.mark.parametrize("key, value", [("beta1", 0.5), ("beta2", 0.99), ("eps", 1e-3)])
     def test_resume_refuses_other_adam_scalars(self, tmp_path, key, value):
         cfg = tiny_config(epochs=2)
@@ -654,11 +695,60 @@ class TestTrainingLoop:
             train_on_datasets(tiny_config(), train_ds, test_ds, tmp_path / "run")
         assert len(calls) == 2
 
+    def test_non_finite_gradient_names_the_parameter_epoch_and_batch(self, tmp_path,
+                                                                       monkeypatch):
+        """A NaN gradient stops training at its batch, before Adam applies
+        it, and no checkpoint is written."""
+        from promptrefine.model import init_model
+        built, calls = [], []
+        backward = ad.backward
+
+        def nan_after_batch_1(loss):
+            backward(loss)
+            if len(calls) == 1:
+                built[0].tensors["interaction.b_ffn_in"].grad[0] = np.nan
+            calls.append(1)
+
+        monkeypatch.setattr(training, "init_model",
+                            lambda *a, **k: built.append(init_model(*a, **k)) or built[0])
+        monkeypatch.setattr(ad, "backward", nan_after_batch_1)
+        train_ds, test_ds = tiny_data()
+        with pytest.raises(ad.NonFiniteError, match=re.escape(
+                "gradients are not finite: ['interaction.b_ffn_in'] at epoch 0 batch 1")):
+            train_on_datasets(tiny_config(), train_ds, test_ds, tmp_path / "run")
+        assert not (tmp_path / "run" / "checkpoint_epoch_000.cprc").exists()
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         cfg = tiny_config(dims=ModelDims(d0=5, d=8, v=4, c=9, heads=2, ffn=12))
         train_ds, test_ds = tiny_data()  # c = 6
         with pytest.raises(ValueError, match="classes"):
             train_on_datasets(cfg, train_ds, test_ds, tmp_path / "run")
+
+    def test_features_must_match_config_dims(self, tmp_path):
+        train_ds, test_ds = tiny_data(v=5)   # the config expects v = 4
+        with pytest.raises(ValueError, match=re.escape(
+                "data features are (5, 5), config dims expect (4, 5)")):
+            train_on_datasets(tiny_config(), train_ds, test_ds, tmp_path / "run")
+
+    def test_resume_from_the_last_epoch_trains_no_epoch(self, tmp_path, monkeypatch):
+        """Resuming from the last epoch's checkpoint runs no epoch, reports
+        the uninterrupted run's history and final scores, and writes its
+        final checkpoint byte for byte."""
+        cfg = tiny_config()
+        train_ds, test_ds = tiny_data()
+        full = train_on_datasets(cfg, train_ds, test_ds, tmp_path / "full")
+
+        def no_epoch(*args):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(training, "run_epoch", no_epoch)
+        resumed = train_on_datasets(
+            cfg, train_ds, test_ds, tmp_path / "resumed",
+            resume_from=tmp_path / "full" / f"checkpoint_epoch_{cfg.epochs - 1:03d}.cprc")
+        assert resumed.history == full.history
+        assert resumed.final_report.to_dict() == full.final_report.to_dict()
+        assert (Path(resumed.final_checkpoint).read_bytes()
+                == Path(full.final_checkpoint).read_bytes())
 
     @pytest.mark.parametrize("trainer", ["prompt", "baseline"])
     @pytest.mark.parametrize("other_test, message", [
@@ -741,6 +831,11 @@ class TestUntrainedScores:
                                  class_names=test_ds.class_names)
         params = init_model(tiny_config().dims, emb, seed=0)
         assert len(test_ds) < training.EVAL_CHUNK
+        # Run both forwards once untraced, so one-time costs such as the
+        # first GELU's scipy.special import fall outside the traced window
+        # and the test does not depend on which tests ran before it.
+        score_dataset(params, test_ds)
+        forward_batch(test_ds.features, params)
 
         def traced_peak(fn):
             tracemalloc.start()
