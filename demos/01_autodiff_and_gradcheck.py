@@ -76,8 +76,10 @@ machine_eps * |objective| / eps, so probing a raw initialization (loss ~ a
 few nats) cannot resolve relative errors near 1e-4 on entries whose true
 gradient is incidentally tiny.  run_gradcheck therefore settles the probe
 batch to a moderate loss first and tilts the objective so every reference
-derivative is bounded away from zero; the tilt is exactly linear, so it
-adds no truncation error and hides no backward defect.
+derivative is bounded away from zero.  The tilt is exactly linear, so
+grad_check adds it analytically to both sides (grad_check(..., tilt=...))
+and probes the bare loss: it adds no truncation error and hides no
+backward defect.
 """)
 
 cfg = TrainConfig.from_dict({

@@ -301,8 +301,9 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
         raise ShapeError(f"layer_norm_rows gain/bias must match the last axis of {x.shape}, "
                          f"got {gain.shape} and {bias.shape}")
     n = x.shape[-1]
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)   # centred, scaled in place below
-    istd = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + eps)
+    # sum / n is np.mean's own arithmetic, bit for bit, without its Python wrapper
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / n   # centred, scaled in place below
+    istd = 1.0 / np.sqrt((xhat ** 2).sum(axis=-1, keepdims=True) / n + eps)
     xhat *= istd
     out_data = xhat * gain.data + bias.data
 
@@ -481,7 +482,8 @@ class GradCheckResult:
 
 def grad_check(f: Callable[[], Tensor],
                params: Mapping[str, Tensor],
-               eps: float = 1e-5) -> GradCheckResult:
+               eps: float = 1e-5,
+               tilt: Mapping[str, np.ndarray] | None = None) -> GradCheckResult:
     """Compare backward gradients against central finite differences.
 
     ``f`` rebuilds the scalar loss from scratch on every call (reading the
@@ -493,17 +495,27 @@ def grad_check(f: Callable[[], Tensor],
     maximised over all entries.  The probes run under :func:`no_grad`.
     Non-finite values raise :class:`NonFiniteError` naming the offending
     parameter.
+
+    ``tilt`` ({name: array of that parameter's shape}) adds the linear term
+    ``sum <tilt[name], params[name]>`` analytically to both sides, to the
+    gradients and to each central difference; it never enters the probes.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"grad_check eps must be a finite number > 0, got {eps}")
     items = list(params.items())
+    tilt = {name: np.zeros(t.shape) for name, t in items} if tilt is None else tilt
+    if bad := sorted(tilt.keys() ^ params.keys()) or [
+            n for n, t in items if np.shape(tilt[n]) != t.shape]:
+        raise ShapeError(f"grad_check tilt must match the parameters' names and shapes: {bad}")
+    if bad := [n for n in tilt if not np.isfinite(tilt[n]).all()]:
+        raise NonFiniteError(f"grad_check: tilt is not finite for {bad}")
     for _, t in items:
         t.zero_grad()
     loss = f()
     if not np.isfinite(loss.data).all():
         raise NonFiniteError("grad_check: loss is not finite")
     backward(loss)
-    analytic = {name: t.grad_or_zeros().copy() for name, t in items}
+    analytic = {name: t.grad_or_zeros() + tilt[name] for name, t in items}
 
     worst = 0.0
     worst_name = ""
@@ -514,6 +526,7 @@ def grad_check(f: Callable[[], Tensor],
                 continue
             flat = t.data.reshape(-1)
             a_flat = analytic[name].reshape(-1)
+            t_flat = np.reshape(tilt[name], -1)
             for i in range(flat.size):
                 saved = flat[i]
                 flat[i] = saved + eps
@@ -524,7 +537,7 @@ def grad_check(f: Callable[[], Tensor],
                 if not (math.isfinite(up) and math.isfinite(down)):
                     raise NonFiniteError(
                         f"grad_check: non-finite loss while perturbing {name}[{i}]")
-                numeric = (up - down) / (2.0 * eps)
+                numeric = (up - down) / (2.0 * eps) + t_flat[i]
                 rel = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), 1e-8)
                 n_entries += 1
                 if rel > worst:

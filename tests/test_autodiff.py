@@ -312,6 +312,83 @@ class TestBackward:
             ad.grad_check(f, {"w": w}, eps=1e9)
 
 
+class TestGradCheckTilt:
+    """``grad_check(..., tilt=...)`` checks ``f() + sum <tilt, param>`` with
+    the linear term added analytically to both sides."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g():
+            calls.append(1)
+            return f()
+        return g, calls
+
+    def test_refuses_a_tilt_with_other_names_before_any_probe(self):
+        w = ad.parameter(np.ones(2))
+        f, calls = self.counted(lambda: ad.inner_sum([w], [np.ones(2)]))
+        with pytest.raises(ad.ShapeError, match="'v'"):
+            ad.grad_check(f, {"w": w}, tilt={"w": np.ones(2), "v": np.ones(2)})
+        with pytest.raises(ad.ShapeError, match="'w'"):
+            ad.grad_check(f, {"w": w}, tilt={})
+        assert calls == []
+
+    def test_refuses_a_tilt_of_another_shape_before_any_probe(self):
+        w = ad.parameter(np.ones(2))
+        b = ad.parameter(np.ones((2, 3)))
+        f, calls = self.counted(lambda: ad.inner_sum([w, b], [np.ones(2), np.ones((2, 3))]))
+        with pytest.raises(ad.ShapeError, match=r"\['b'\]"):
+            ad.grad_check(f, {"w": w, "b": b}, tilt={"w": np.ones(2), "b": np.ones((3, 2))})
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_refuses_a_non_finite_tilt_before_any_probe(self, bad):
+        w = ad.parameter(np.ones(2))
+        b = ad.parameter(np.ones(3))
+        f, calls = self.counted(lambda: ad.inner_sum([w, b], [np.ones(2), np.ones(3)]))
+        with pytest.raises(ad.NonFiniteError, match=r"\['b'\]"):
+            ad.grad_check(f, {"w": w, "b": b},
+                          tilt={"w": np.ones(2), "b": np.array([0.0, bad, 1.0])})
+        assert calls == []
+
+    def test_a_correct_op_checked_with_a_tilt_passes(self):
+        rng = np.random.default_rng(5)
+        x = ad.parameter(rng.standard_normal((3, 5)))
+        gain = ad.parameter(rng.standard_normal(5))
+        bias = ad.parameter(rng.standard_normal(5))
+        sel = rng.standard_normal((3, 5))
+        params = {"x": x, "gain": gain, "bias": bias}
+        tilt = {k: rng.uniform(1e-5, 2e-5, size=t.shape) for k, t in params.items()}
+
+        def f():
+            return ad.inner_sum([ad.gelu(ad.layer_norm_rows(x, gain, bias))], [sel])
+
+        result = ad.grad_check(f, params, eps=1e-6, tilt=tilt)
+        assert result.n_entries == 25 and result.max_rel_error < 1e-6
+
+    def test_a_tilt_does_not_mask_a_backward_defect(self):
+        # gelu with its backward scaled by 1.001, minus an exact gelu: the
+        # true objective is flat, so the analytic gradient is the defect
+        # alone, and a tilt of the size run_gradcheck uses must not hide it.
+        def buggy_gelu(t):
+            out = ad.gelu(t)
+            real_bw = out._backward
+            out._backward = lambda g: real_bw(g * 1.001)
+            return out
+
+        rng = np.random.default_rng(8)
+        x = ad.parameter(rng.standard_normal((4, 6)))
+        weights = rng.standard_normal((4, 6))
+
+        def f():
+            return ad.inner_sum([ad.add(buggy_gelu(x), times(ad.gelu(x), -1.0))], [weights])
+
+        tilt = {"x": rng.uniform(1e-5, 2e-5, size=(4, 6))}
+        result = ad.grad_check(f, {"x": x}, eps=1e-6, tilt=tilt)
+        assert result.max_rel_error > 1e-3
+
+
 class TestGraphSemantics:
     def test_gradients_accumulate_across_batch_concat(self):
         """Gradient of a mean over concatenated rows hits every source."""

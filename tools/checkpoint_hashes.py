@@ -2,6 +2,13 @@
 gradient check and the baseline: the lines a change that claims the same
 behaviour must leave as they were.
 
+Arithmetic: a sha256 prefix over a fixed probe of the kernels the other
+lines depend on — a bench-A shaped feed-forward product ``x @ w``, its
+weight-gradient product ``x.T @ g``, and scipy's ``erf`` and ``expit``.
+OpenBLAS picks its matmul kernel by CPU, and the kernels round
+differently, so two machines that print other ``arith`` digests print
+other training, dual-path and baseline prefixes for the same code.
+
 Training: each of six runs trains the prompt model on bench-A data
 (``bench/workloads.py``: ``BENCH_A_GEN``, ``BENCH_A_DIMS``,
 ``BENCH_A_TRAIN``; generator seed 3) for 3 epochs at seed 3 with a random
@@ -25,10 +32,11 @@ Run from the repository root:
 
     python3 tools/checkpoint_hashes.py
 
-It prints one line per training run, then the dual-path, gradcheck and
-baseline lines, and exits 1 if any resume differs or the gradcheck
-fails.  The prefixes are a fingerprint of the arithmetic on this
-platform: compare them between two versions of the code on one machine.
+It prints the ``arith`` line, one line per training run, then the
+dual-path, gradcheck and baseline lines, and exits 1 if any resume
+differs or the gradcheck fails.  The prefixes are a fingerprint of the
+arithmetic on this platform: compare them between two versions of the
+code on one machine, or on two machines whose ``arith`` lines agree.
 """
 
 from __future__ import annotations
@@ -39,6 +47,9 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+from scipy import special
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -61,6 +72,21 @@ DUAL_PATH_SAMPLES = 4
 
 def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def arith_digest() -> str:
+    """sha256 over x @ w, x.T @ g, erf(x) and expit(x) at bench-A shapes:
+    a batch's (B, c, d) prompt rows into the (d, ffn) feed-forward weight."""
+    rng = np.random.default_rng(SEED)
+    dims = ModelDims(**BENCH_A_DIMS)
+    x = rng.standard_normal((BENCH_A_TRAIN["batch_size"], dims.c, dims.d))
+    w = rng.standard_normal((dims.d, dims.ffn))
+    g = rng.standard_normal(x.shape[:-1] + (dims.ffn,))
+    h = hashlib.sha256()
+    for a in (x @ w, x.reshape(-1, dims.d).T @ g.reshape(-1, dims.ffn),
+              special.erf(x), special.expit(x)):
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def dual_path_digest(train_ds) -> str:
@@ -101,6 +127,7 @@ def gradcheck(tmp) -> tuple[int, str]:
 
 
 def main() -> int:
+    print(f"arith {arith_digest()[:16]}", flush=True)
     train_ds, test_ds = generate_synthetic_lt(GeneratorConfig(seed=SEED, **BENCH_A_GEN))
     all_resumed = True
     with tempfile.TemporaryDirectory() as tmp:
