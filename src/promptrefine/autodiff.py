@@ -123,10 +123,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def zero_grad(self) -> None:
         self.grad = None
 

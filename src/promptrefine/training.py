@@ -2,10 +2,10 @@
 
 Everything here is bitwise deterministic: ``run_epoch`` keys the shuffle
 by (seed, epoch) (so a resumed run visits the exact batches the
-uninterrupted run would), parameters and Adam moments are stored as
-raw float64, and the checkpoint metadata is canonical JSON.  Running the
-same config twice, or interrupting and resuming, reproduces the metric
-history and the final checkpoint byte for byte on one machine: one CPU
+uninterrupted run would), parameters and Adam moments are raw float64
+(``Adam``'s three vectors), and the checkpoint metadata is canonical JSON.
+Running the same config twice, or interrupting and resuming, reproduces the
+metric history and the final checkpoint byte for byte on one machine: one CPU
 kernel and one numpy/OpenBLAS build.  OpenBLAS picks its matmul kernels
 by CPU, and other kernels (SkylakeX, Haswell, SandyBridge) round differently.
 
@@ -162,11 +162,16 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam with decoupled-nothing, classic formulation: weight decay is
-    added to the gradient (g <- g + wd * theta), moments are bias-corrected.
-    Tensors that do not require grad are skipped; a non-finite gradient stops
-    ``step`` before it changes any state.  The moment decays and eps are the
-    constants ``SCALARS``; a checkpoint stores them and a resume refuses others."""
+    """Classic Adam: weight decay is added to the gradient (g <- g + wd * theta)
+    and the moments are bias-corrected.  The optimizer owns the storage: the
+    learnable entries, in ``params`` order, are one float64 vector ``theta``,
+    each tensor's ``.data`` becomes a view into it at ``slices[name]``, and
+    ``m[name]``/``v[name]`` are views into ``m_flat``/``v_flat`` there.  A
+    second ``Adam`` over the same tensors takes that storage over, so a run
+    builds one.  Frozen tensors are skipped, neither moved nor copied.  ``step``
+    updates the three vectors whole; a non-finite gradient stops it before it
+    changes any state.  The moment decays and eps are the constants
+    ``SCALARS``; a checkpoint stores them and a resume refuses others."""
 
     SCALARS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
 
@@ -175,30 +180,34 @@ class Adam:
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.theta = np.concatenate([p.data for p in self.params.values()], axis=None)
+        self.m_flat, self.v_flat = np.zeros_like(self.theta), np.zeros_like(self.theta)
+        self.slices, self.m, self.v, stop = {}, {}, {}, 0
+        for name, p in self.params.items():
+            s = self.slices[name] = slice(stop, stop := stop + p.data.size)
+            p.data, self.m[name], self.v[name] = [a[s].reshape(p.shape) for a in
+                                                  (self.theta, self.m_flat, self.v_flat)]
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
 
     def step(self) -> None:
-        if bad := [name for name, p in self.params.items()
-                   if p.grad is not None and not np.isfinite(p.grad).all()]:
+        g = np.concatenate([p.grad_or_zeros() for p in self.params.values()], axis=None)
+        if not (finite := np.isfinite(g)).all():
+            bad = [name for name, s in self.slices.items() if not finite[s].all()]
             raise NonFiniteError(f"gradients are not finite: {bad}")
         self.t += 1
         b1, b2, eps = self.SCALARS["beta1"], self.SCALARS["beta2"], self.SCALARS["eps"]
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad_or_zeros()
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        if self.weight_decay:
+            g = g + self.weight_decay * self.theta
+        self.m_flat[:] = b1 * self.m_flat + (1.0 - b1) * g
+        self.v_flat[:] = b2 * self.v_flat + (1.0 - b2) * g * g
+        m_hat = self.m_flat / bc1
+        v_hat = self.v_flat / bc2
+        self.theta -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +246,8 @@ class Checkpoint:
 
 def checkpoint_tensors(params: ModelParams, adam: Adam) -> dict:
     """The tensors a checkpoint of ``params`` and ``adam`` holds: every model
-    tensor, the frozen embedding included, and each learnable tensor's moments."""
+    tensor, the frozen embedding included, and each learnable tensor's moments,
+    as views of the live arrays, most of them into ``adam``'s vectors."""
     tensors = {name: p.data for name, p in params.all_tensors().items()}
     for name in adam.m:
         tensors.update({f"adam.m.{name}": adam.m[name], f"adam.v.{name}": adam.v[name]})
@@ -274,11 +284,11 @@ def load_checkpoint(path) -> Checkpoint:
 
 def restore(ckpt: Checkpoint) -> tuple[ModelParams, Adam]:
     """The model and optimizer a loaded checkpoint holds: the inverse of
-    ``checkpoint_tensors``.  The checkpoint must hold exactly the tensors
-    that function names for a model of ``ckpt.config`` around its
-    ``embedding.W``, each at its shape, a name per class, and ``Adam.SCALARS``;
-    anything else is a ``CheckpointMismatchError`` naming it.  ``embedding.W``
-    stays the checkpoint's own read-only array; every other tensor is copied."""
+    ``checkpoint_tensors``.  The checkpoint must hold exactly the tensors that
+    function names for a model of ``ckpt.config`` around its ``embedding.W``,
+    each at its shape, a name per class, and ``Adam.SCALARS``; anything else is
+    a ``CheckpointMismatchError`` naming it.  ``embedding.W`` stays the
+    checkpoint's own read-only array; the rest is copied into ``Adam``'s vectors."""
     cfg = ckpt.config
     if "embedding.W" not in ckpt.tensors:
         raise CheckpointMismatchError("checkpoint is missing embedding.W")

@@ -451,7 +451,7 @@ class TestAttention:
 
         result = ad.grad_check(f, ts, eps=1e-6)
         assert result.max_rel_error < 1e-6, result
-        assert result.n_entries == sum(t.size for t in ts.values() if t.requires_grad)
+        assert result.n_entries == sum(t.data.size for t in ts.values() if t.requires_grad)
         if frozen is not None:
             assert ts[frozen].grad is None
 
@@ -505,7 +505,7 @@ def _graph_chain(x, w, gain, bias):
     """A chain through most primitives, ending in a scalar."""
     z = ad.layer_norm_rows(ad.gelu(ad.linear(x, w)), gain, bias)
     s = ad.attention(times(z, 0.5), z, z, 1)
-    return ad.inner_sum([ad.mul(ad.sigmoid(z), s)], [np.full(s.shape, 1.0 / s.size)])
+    return ad.inner_sum([ad.mul(ad.sigmoid(z), s)], [np.full(s.shape, 1.0 / s.data.size)])
 
 
 class TestGraphMemory:
@@ -544,7 +544,7 @@ class TestGraphMemory:
         x, w, gain, bias = self._params()
         hidden = ad.gelu(ad.linear(x, w))
         loss = ad.inner_sum([ad.mul(ad.layer_norm_rows(hidden, gain, bias), hidden)],
-                            [np.full(hidden.shape, 1.0 / hidden.size)])
+                            [np.full(hidden.shape, 1.0 / hidden.data.size)])
         ad.backward(loss)
         assert loss._parents == () and hidden._parents == ()
         assert hidden.grad is not None and w.grad is not None

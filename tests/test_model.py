@@ -91,7 +91,7 @@ class TestShapesAndInit:
             np.testing.assert_array_equal(t.data, b.learnable()[name].data, err_msg=name)
         c = make_model(seed=6)
         assert any((t.data != c.learnable()[n].data).any()
-                   for n, t in a.learnable().items() if t.size > 1)
+                   for n, t in a.learnable().items() if t.data.size > 1)
 
     def test_biases_zero_gains_one_weights_bounded(self):
         params = make_model(seed=3)

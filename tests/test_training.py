@@ -147,6 +147,99 @@ class TestAdam:
             adam.step()
         assert state() == before
 
+    @staticmethod
+    def assert_owns_storage(adam, params):
+        """Every learnable tensor's data and moments are views into the
+        optimizer's three vectors; every frozen tensor is outside them."""
+        for name, p in params.items():
+            if not p.requires_grad:
+                assert not np.shares_memory(p.data, adam.theta), name
+                continue
+            assert np.shares_memory(p.data, adam.theta), name
+            assert np.shares_memory(adam.m[name], adam.m_flat), name
+            assert np.shares_memory(adam.v[name], adam.v_flat), name
+            assert adam.m[name].shape == adam.v[name].shape == p.shape, name
+
+    def test_owns_the_storage_as_three_vectors(self):
+        rng = np.random.default_rng(4)
+        params = {"w": ad.parameter(rng.standard_normal((4, 3))),
+                  "frozen": ad.constant(rng.standard_normal(2)),
+                  "b": ad.parameter(rng.standard_normal(5)),
+                  "g": ad.parameter(rng.standard_normal((2, 3, 2)))}
+        before = {name: p.data for name, p in params.items()}
+        adam = Adam(params, learning_rate=1e-2)
+        self.assert_owns_storage(adam, params)
+        for name, p in params.items():
+            assert p.data.tobytes() == before[name].tobytes(), name
+        assert params["frozen"].data is before["frozen"]
+        assert adam.theta.tobytes() == np.concatenate(
+            [before[n].ravel() for n in ("w", "b", "g")]).tobytes()
+        assert adam.m_flat.shape == adam.v_flat.shape == adam.theta.shape == (29,)
+
+    def test_restore_builds_the_store_and_round_trips_the_checkpoint(self, tmp_path):
+        train_ds, test_ds = tiny_data()
+        result = train_on_datasets(tiny_config(epochs=1), train_ds, test_ds, tmp_path / "run")
+        ckpt = load_checkpoint(result.final_checkpoint)
+        params, adam = restore(ckpt)
+        self.assert_owns_storage(adam, params.all_tensors())
+        assert params.embedding.data is ckpt.tensors["embedding.W"]
+        tensors = checkpoint_tensors(params, adam)
+        assert tensors.keys() == ckpt.tensors.keys()
+        for name, a in tensors.items():
+            assert a.tobytes() == ckpt.tensors[name].tobytes(), name
+
+    def test_grad_check_probes_write_through_the_views(self):
+        rng = np.random.default_rng(6)
+        params = {"w": ad.parameter(rng.standard_normal((3, 2))),
+                  "b": ad.parameter(rng.standard_normal(2))}
+        x = ad.constant(rng.standard_normal((4, 3)))
+        adam = Adam(params, learning_rate=1e-2)
+        theta = adam.theta.tobytes()
+        seen = []
+
+        def f():
+            seen.append(adam.theta.copy())
+            z = ad.linear(x, params["w"], params["b"])
+            return ad.inner_sum([ad.mul(z, z)], [np.ones(z.shape)])
+
+        result = ad.grad_check(f, params, eps=1e-6)
+        assert result.max_rel_error < 1e-6 and result.n_entries == 8
+        assert adam.theta.tobytes() == theta
+        assert sum(not np.array_equal(s, adam.theta) for s in seen) == 2 * 8
+
+    def test_several_tensors_match_the_per_tensor_loop_bitwise(self):
+        """200 steps over three shapes with weight decay, one tensor without
+        a gradient on some steps, against Adam written out per tensor."""
+        rng = np.random.default_rng(8)
+        shapes = {"w": (4, 3), "b": (5,), "g": (2, 3, 2)}
+        init = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        grads = [{name: None if name == "b" and step % 3 == 0 else rng.standard_normal(shape)
+                  for name, shape in shapes.items()} for step in range(200)]
+        lr, wd, b1, b2, eps = 3e-3, 1e-2, 0.9, 0.999, 1e-8
+
+        x = {name: a.copy() for name, a in init.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for t, step_grads in enumerate(grads, start=1):
+            for name in shapes:
+                g = step_grads[name] if step_grads[name] is not None else np.zeros(shapes[name])
+                g = g + wd * x[name]
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                x[name] -= lr * (m[name] / (1.0 - b1 ** t)) / (np.sqrt(v[name] / (1.0 - b2 ** t))
+                                                               + eps)
+
+        params = {name: ad.parameter(a.copy()) for name, a in init.items()}
+        adam = Adam(params, learning_rate=lr, weight_decay=wd)
+        for step_grads in grads:
+            for name, p in params.items():
+                p.grad = step_grads[name]
+            adam.step()
+        for name, p in params.items():
+            assert p.data.tobytes() == x[name].tobytes(), name
+            assert adam.m[name].tobytes() == m[name].tobytes(), name
+            assert adam.v[name].tobytes() == v[name].tobytes(), name
+
 
 class TestTrainConfig:
     def test_round_trip(self):
