@@ -25,8 +25,16 @@ The only implicit broadcast is of a parameter across leading axes: the
 apply to every slice, and their gradients are summed over the leading
 axes.  ``broadcast_batch`` makes that broadcast explicit for any tensor.
 
-``_accumulate`` is the one place that drops gradients deposited on constants;
-only ``linear`` skips computing its input's gradient when that input is constant.
+Each op allocates its output and what its backward keeps, and as little
+else as it can: attention reads its heads as strided views, and GELU and
+layer norm work in place.  ``_accumulate`` is the one place that drops
+gradients deposited on constants; only ``linear`` skips computing its
+input's gradient when that input is constant.  A backward passes
+``fresh=True`` for an array it has just allocated and holds nowhere else,
+and a first deposit keeps such an array as ``.grad`` instead of copying
+it, if it is C-contiguous: the copy it saves is C-contiguous, and a
+gradient's layout decides the BLAS calls that read it later, and so
+their bits.
 
 A graph holds memory only while a backward pass can still use it.
 Inside ``with no_grad():`` every primitive returns a plain tensor with no
@@ -112,7 +120,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        # an op's output is a float64 ndarray already: asarray would return it as is
+        self.data = (data if type(data) is np.ndarray and data.dtype == np.float64
+                     else np.asarray(data, dtype=np.float64))
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = _parents
@@ -144,13 +154,15 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     if t.requires_grad:
-        if t.grad is None:
+        if t.grad is not None:
+            t.grad += g
+        elif fresh and type(g) is np.ndarray and g.flags.c_contiguous:
+            t.grad = g
+        else:
             t.grad = np.empty_like(t.data)
             t.grad[...] = g
-        else:
-            t.grad += g
 
 
 @contextlib.contextmanager
@@ -209,10 +221,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def _bw(g: np.ndarray) -> None:
         if x.requires_grad:   # features and the embedding are constants: skip a matmul
-            _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n))
+            _accumulate(x, g @ w.data.T, fresh=True)
+        _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
         if b is not None:
-            _accumulate(b, _sum_leading(g))
+            _accumulate(b, _sum_leading(g), fresh=True)
 
     return _from_op(out_data, (x, w) if b is None else (x, w, b), _bw)
 
@@ -239,9 +251,9 @@ def broadcast_batch(x: Tensor, n: int) -> Tensor:
         raise ShapeError(f"broadcast_batch needs n >= 1, got {n}")
 
     def _bw(g: np.ndarray) -> None:
-        _accumulate(x, g.sum(axis=0))
+        _accumulate(x, g.sum(axis=0), fresh=True)
 
-    return _from_op(np.broadcast_to(x.data, (n,) + x.data.shape).copy(), (x,), _bw)
+    return _from_op(x.data[None].repeat(n, axis=0), (x,), _bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -250,8 +262,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
 
     def _bw(g: np.ndarray) -> None:
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        _accumulate(a, g * b.data, fresh=True)
+        _accumulate(b, g * a.data, fresh=True)
 
     return _from_op(a.data * b.data, (a, b), _bw)
 
@@ -262,12 +274,22 @@ def gelu(x: Tensor) -> Tensor:
     Backward: d/dx = 0.5 * (1 + erf(x/sqrt(2))) + x * pdf(x)
     with pdf(x) = exp(-x^2 / 2) / sqrt(2*pi).
     """
-    e = _special().erf(x.data * _INV_SQRT2)
-    out_data = 0.5 * x.data * (1.0 + e)
+    xd = x.data
+    e1 = np.multiply(xd, _INV_SQRT2, out=np.empty_like(xd))
+    _special().erf(e1, out=e1)
+    e1 += 1.0
+    out_data = xd * 0.5
+    out_data *= e1
 
     def _bw(g: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        _accumulate(x, g * (0.5 * (1.0 + e) + x.data * pdf))
+        dx = np.multiply(xd, -0.5, out=np.empty_like(xd))   # -x^2/2, x * pdf, then dX
+        dx *= xd
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT_2PI
+        dx *= xd
+        dx += e1 * 0.5
+        dx *= g
+        _accumulate(x, dx, fresh=True)
 
     return _from_op(out_data, (x,), _bw)
 
@@ -277,7 +299,7 @@ def sigmoid(x: Tensor) -> Tensor:
     s = _special().expit(x.data)
 
     def _bw(g: np.ndarray) -> None:
-        _accumulate(x, g * s * (1.0 - s))
+        _accumulate(x, g * s * (1.0 - s), fresh=True)
 
     return _from_op(s, (x,), _bw)
 
@@ -299,18 +321,24 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     n = x.shape[-1]
     # sum / n is np.mean's own arithmetic, bit for bit, without its Python wrapper
     xhat = x.data - x.data.sum(axis=-1, keepdims=True) / n   # centred, scaled in place below
-    istd = 1.0 / np.sqrt((xhat ** 2).sum(axis=-1, keepdims=True) / n + eps)
+    out_data = np.square(xhat)   # the squares first, then the output
+    istd = 1.0 / np.sqrt(out_data.sum(axis=-1, keepdims=True) / n + eps)
     xhat *= istd
-    out_data = xhat * gain.data + bias.data
+    np.multiply(xhat, gain.data, out=out_data)
+    out_data += bias.data
 
     def _bw(g: np.ndarray) -> None:
-        _accumulate(gain, _sum_leading(g * xhat))
-        _accumulate(bias, _sum_leading(g))
-        dxhat = g * gain.data
-        term = (n * dxhat
-                - dxhat.sum(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
-        _accumulate(x, term * (istd / n))
+        work = g * xhat   # a product with xhat, three times over
+        _accumulate(gain, _sum_leading(work), fresh=True)
+        _accumulate(bias, _sum_leading(g), fresh=True)
+        dxhat = g * gain.data   # turned into dX in place
+        total = dxhat.sum(axis=-1, keepdims=True)
+        proj = np.multiply(dxhat, xhat, out=work).sum(axis=-1, keepdims=True)
+        dxhat *= n
+        dxhat -= total
+        dxhat -= np.multiply(xhat, proj, out=work)
+        dxhat *= istd / n
+        _accumulate(x, dxhat, fresh=True)
 
     return _from_op(out_data, (x, gain, bias), _bw)
 
@@ -342,37 +370,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
 
-    # The per-head operands are contiguous copies, so each slice's product
-    # is the same BLAS call, bit for bit, whatever the leading axes: a
-    # sample's attention does not depend on the batch around it.
-    def split(x: np.ndarray, n: int) -> np.ndarray:
-        # (..., n, d) -> contiguous (..., heads, n, dh)
-        return np.swapaxes(x.reshape(*lead, n, heads, dh), -3, -2).copy()
+    # A head is a strided (..., heads, n, dh) view of an (..., n, d) array,
+    # products included: each slice is the same BLAS call whatever the
+    # leading axes, so a sample's attention does not depend on its batch.
+    def by_head(x: np.ndarray, n: int) -> np.ndarray:
+        return x.reshape(*lead, n, heads, dh).swapaxes(-3, -2)
 
-    qh, vh = split(qd, nq), split(vd, nk)
-    kt = np.swapaxes(split(kd, nk), -1, -2).copy()   # (..., heads, dh, nk)
+    def into_heads(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+        out = np.empty((*lead, n, d))
+        np.matmul(a, b, out=by_head(out, n))
+        return out
+
+    qh, vh = by_head(qd, nq), by_head(vd, nk)
+    # k alone is copied, to a contiguous (..., heads, dh, nk): a transposed
+    # view is another BLAS operand, and it moved the scores' bits.
+    kt = by_head(kd, nk).swapaxes(-1, -2).copy()
     s = qh @ kt
     s *= c
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
 
-    def merge(x: np.ndarray) -> np.ndarray:
-        # (..., heads, n, dh) -> (..., n, d)
-        return np.swapaxes(x, -3, -2).reshape(*lead, x.shape[-2], d)
-
     def _bw(g: np.ndarray) -> None:
-        gh = split(g, nq)
-        da = gh @ np.swapaxes(vh, -1, -2)
+        gh = by_head(g, nq)
+        da = gh @ vh.swapaxes(-1, -2)
         da -= (da * s).sum(axis=-1, keepdims=True)
         da *= s
         da *= c
-        _accumulate(q, merge(da @ np.swapaxes(kt, -1, -2)))
-        dkt = np.swapaxes(qh, -1, -2) @ da   # (..., heads, dh, nk)
-        _accumulate(k, merge(np.swapaxes(dkt, -1, -2)))
-        _accumulate(v, merge(np.swapaxes(s, -1, -2) @ gh))
+        _accumulate(q, into_heads(da, kt.swapaxes(-1, -2), nq), fresh=True)
+        _accumulate(k, into_heads(da.swapaxes(-1, -2), qh, nk), fresh=True)
+        _accumulate(v, into_heads(s.swapaxes(-1, -2), gh, nk), fresh=True)
 
-    return _from_op(merge(s @ vh), (q, k, v), _bw)
+    return _from_op(into_heads(s, vh, nq), (q, k, v), _bw)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:

@@ -114,16 +114,16 @@ def asl(s: Tensor, y: np.ndarray, cfg: ASLConfig | None = None) -> Tensor:
 
     one_minus_s = 1.0 - x
     s_live = x > cfg.eps
-    s_clamped = np.where(s_live, x, cfg.eps)
+    s_clamped = np.maximum(x, cfg.eps)   # x is finite: _check_inputs refused the rest
     log_s = np.log(s_clamped)
     pow_pos = np.power(one_minus_s, cfg.gamma_pos)
 
     shifted = x - cfg.mu
     above = shifted > 0.0
-    m = np.where(above, shifted, 0.0)
+    m = np.maximum(shifted, 0.0)
     one_minus_m = 1.0 - m
     m_live = one_minus_m > cfg.eps
-    m_clamped = np.where(m_live, one_minus_m, cfg.eps)
+    m_clamped = np.maximum(one_minus_m, cfg.eps)
     log_m = np.log(m_clamped)
     pow_neg = np.power(m, cfg.gamma_neg)
 
@@ -138,7 +138,7 @@ def asl(s: Tensor, y: np.ndarray, cfg: ASLConfig | None = None) -> Tensor:
             d_pos -= _power_slope(one_minus_s, cfg.gamma_pos) * log_s
         if cfg.gamma_neg:
             d_neg -= _power_slope(m, cfg.gamma_neg) * log_m
-        _accumulate(s, (g * (-1.0 / rows)) * (y * d_pos - (not_y * above) * d_neg))
+        _accumulate(s, (g * (-1.0 / rows)) * (y * d_pos - (not_y * above) * d_neg), fresh=True)
 
     return _from_op(out, (s,), _bw)
 

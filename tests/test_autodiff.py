@@ -10,6 +10,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from promptrefine import autodiff as ad
 
@@ -499,6 +500,98 @@ class TestAttention:
         q, k, v = (ad.parameter(np.zeros(sh)) for sh in (q_shape, k_shape, v_shape))
         with pytest.raises(ad.ShapeError):
             ad.attention(q, k, v, heads)
+
+
+def copied_heads_attention(q, k, v, heads, g):
+    """Attention and its q, k, v gradients for output gradient ``g``, with
+    every head copied out to a contiguous array and the products merged
+    back by a copy: the arithmetic the engine's strided views must keep
+    bit for bit."""
+    *lead, nq, d = q.shape
+    nk, dh = k.shape[-2], d // heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(x, n):
+        return np.swapaxes(x.reshape(*lead, n, heads, dh), -3, -2).copy()
+
+    def merge(x):
+        return np.swapaxes(x, -3, -2).reshape(*lead, x.shape[-2], d)
+
+    qh, vh, gh = split(q, nq), split(v, nk), split(g, nq)
+    kt = np.swapaxes(split(k, nk), -1, -2).copy()
+    s = qh @ kt
+    s *= c
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    da = gh @ np.swapaxes(vh, -1, -2)
+    da -= (da * s).sum(axis=-1, keepdims=True)
+    da *= s
+    da *= c
+    return (merge(s @ vh), merge(da @ np.swapaxes(kt, -1, -2)),
+            merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ da, -1, -2)),
+            merge(np.swapaxes(s, -1, -2) @ gh))
+
+
+def with_extremes(rng, shape):
+    """Standard normal draws of ``shape`` whose first three entries are 0, 8 and -8."""
+    x = rng.standard_normal(shape) * 3
+    x.reshape(-1)[:3] = [0.0, 8.0, -8.0]
+    return x
+
+
+class TestBitwiseOracles:
+    """attention, gelu and layer_norm_rows allocate less than the plain
+    expressions below, and must compute the same bits, forward and
+    backward."""
+
+    @staticmethod
+    def _run(op, arrays, g):
+        ts = [ad.parameter(a.copy()) for a in arrays]
+        out = op(*ts)
+        ad.backward(ad.inner_sum([out], [g]))   # the output's gradient is g itself
+        return [out.data] + [t.grad for t in ts]
+
+    @staticmethod
+    def _assert_bytes_equal(got, want):
+        for i, (a, b) in enumerate(zip(got, want, strict=True)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), i
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_matches_copied_heads(self, heads, batch):
+        rng = np.random.default_rng(100 + heads * 10 + batch)
+        # bench-A shapes: 20 prompt queries over 8 + 20 keys, width 32
+        q, g = (rng.standard_normal((batch, 20, 32)) for _ in range(2))
+        k, v = (rng.standard_normal((batch, 28, 32)) for _ in range(2))
+        got = self._run(lambda *ts: ad.attention(*ts, heads), (q, k, v), g)
+        self._assert_bytes_equal(got, copied_heads_attention(q, k, v, heads, g))
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 20, 64)])
+    def test_gelu_matches_the_plain_expression(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x, g = with_extremes(rng, shape), rng.standard_normal(shape)
+        e = erf(x * (1.0 / math.sqrt(2.0)))
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        want = [0.5 * x * (1.0 + e), g * (0.5 * (1.0 + e) + x * pdf)]
+        self._assert_bytes_equal(self._run(ad.gelu, (x,), g), want)
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 20, 32)])
+    def test_layer_norm_matches_the_plain_expression(self, shape):
+        rng = np.random.default_rng(10 + len(shape))
+        x, g = with_extremes(rng, shape), rng.standard_normal(shape)
+        gain, bias = rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1])
+        n, eps = shape[-1], 1e-5
+        xhat = x - x.sum(axis=-1, keepdims=True) / n
+        istd = 1.0 / np.sqrt((xhat ** 2).sum(axis=-1, keepdims=True) / n + eps)
+        xhat *= istd
+        dxhat = g * gain
+        term = (n * dxhat - dxhat.sum(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
+        want = [xhat * gain + bias, term * (istd / n),
+                (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0)]
+        got = self._run(lambda *ts: ad.layer_norm_rows(*ts, eps=eps), (x, gain, bias), g)
+        self._assert_bytes_equal(got, want)
 
 
 def _graph_chain(x, w, gain, bias):

@@ -308,3 +308,34 @@ class TestFullModelGradients:
 
         result = ad.grad_check(f, params.learnable(), eps=1e-5)
         assert result.max_rel_error < 1e-4, result
+
+
+class TestGradientOwnership:
+    """A backward keeps some arrays it just allocated as ``.grad`` without a
+    copy.  Every gradient must still be C-contiguous, of its tensor's shape,
+    and its own memory: shared with no other gradient and no tensor's data."""
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_every_grad_is_contiguous_and_owns_its_memory(self, literal):
+        # bench-A dims, batch 32; P, P' and the scores held as in forward_batch
+        params = make_model(seed=4, c=20, v=8, d0=8, d=32, heads=4, ffn=64, m=8,
+                            literal=literal)
+        rng = np.random.default_rng(6)
+        features = rng.standard_normal((32, 8, 8))
+        labels = (rng.random((32, 20)) < 0.3).astype(float)
+        P = ad.broadcast_batch(mdl.init_prompts(params), 32)
+        refined = mdl.vsi_forward(mdl.project_features(ad.constant(features), params), P,
+                                  params)
+        scores = mdl.classify(refined, P)
+        ad.backward(asl(scores, labels))
+        # the literal path leaves the output map and the norms unused
+        held = {**{name: t for name, t in params.learnable().items() if t.grad is not None},
+                "P": P, "P'": refined, "scores": scores}
+        assert len(held) == (16 if literal else 21)
+        for name, t in held.items():
+            assert t.grad is not None and t.grad.shape == t.shape, name
+            assert t.grad.flags.c_contiguous, name
+        for name, t in held.items():
+            for other, u in held.items():
+                assert other == name or not np.shares_memory(t.grad, u.grad), (name, other)
+                assert not np.shares_memory(t.grad, u.data), (name, other)

@@ -943,6 +943,33 @@ class TestUntrainedScores:
         built = traced_peak(lambda: forward_batch(test_ds.features, params).data)
         assert scored < 0.5 * built, (scored, built)
 
+    def test_scoring_one_bench_a_chunk_peaks_under_15_mib(self):
+        """score_dataset over one full EVAL_CHUNK of bench-A shaped samples
+        (d=32, 4 heads, 20 classes, 8 tokens) keeps its traced numpy peak
+        under 15 MiB: attention works on views of its operands, and GELU
+        and layer norm work in place."""
+        from promptrefine.data import embedding_provider
+        from promptrefine.model import init_model
+        rng = np.random.default_rng(11)
+        n = training.EVAL_CHUNK
+        labels = np.zeros((n, 20), dtype=np.uint8)
+        labels[np.arange(n), rng.integers(0, 20, n)] = 1
+        ds = LongTailDataset(rng.standard_normal((n, 8, 8)), labels,
+                             [f"class{i}" for i in range(20)])
+        params = init_model(ModelDims(d0=8, d=32, v=8, c=20, heads=4, ffn=64),
+                            embedding_provider("random", c=20, m=8, seed=11), seed=11)
+        # warm both forwards, as test_scoring_keeps_no_graph does
+        score_dataset(params, ds)
+        forward_batch(ds.features[:32], params)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            score_dataset(params, ds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20, peak / 2**20
+
 
 class TestAtomicWrites:
     """Each writer goes through a temp file and os.replace: a write that
