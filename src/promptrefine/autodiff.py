@@ -120,9 +120,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        # an op's output is a float64 ndarray already: asarray would return it as is
-        self.data = (data if type(data) is np.ndarray and data.dtype == np.float64
-                     else np.asarray(data, dtype=np.float64))
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = _parents

@@ -51,7 +51,7 @@ def baseline_forward_batch(features, params: BaselineParams) -> Tensor:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 3:
         raise ad.ShapeError(f"features must be (B, v, d0), got {features.shape}")
-    pooled = features.sum(axis=1) / features.shape[1]   # np.mean's own arithmetic
+    pooled = features.mean(axis=1)
     return ad.sigmoid(ad.linear(ad.constant(pooled), params.w, params.b))
 
 
