@@ -131,9 +131,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def grad_or_zeros(self) -> np.ndarray:
         return self.grad if self.grad is not None else np.zeros_like(self.data)
 
@@ -246,7 +243,7 @@ def broadcast_batch(x: Tensor, n: int) -> Tensor:
     slices' gradients.
     """
     if n < 1:
-        raise ShapeError(f"broadcast_batch needs n >= 1, got {n}")
+        raise ShapeError(f"broadcast_batch needs n >= 1, got {n} copies of {x.shape}")
 
     def _bw(g: np.ndarray) -> None:
         _accumulate(x, g.sum(axis=0), fresh=True)
@@ -419,7 +416,7 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
 def sum_rows(x: Tensor) -> Tensor:
     """Sums over the last axis: (..., n) -> (...)."""
     if x.data.ndim == 0:
-        raise ShapeError("sum_rows needs a tensor of rank >= 1, got a scalar")
+        raise ShapeError(f"sum_rows needs a tensor of rank >= 1, got shape {x.shape}")
 
     def _bw(g: np.ndarray) -> None:
         _accumulate(x, np.broadcast_to(g[..., None], x.data.shape))
@@ -533,7 +530,7 @@ def grad_check(f: Callable[[], Tensor],
     if bad := [n for n in tilt if not np.isfinite(tilt[n]).all()]:
         raise NonFiniteError(f"grad_check: tilt is not finite for {bad}")
     for _, t in items:
-        t.zero_grad()
+        t.grad = None
     loss = f()
     if not np.isfinite(loss.data).all():
         raise NonFiniteError("grad_check: loss is not finite")

@@ -65,7 +65,7 @@ _TRAIN = spec_of(TrainConfig)
 
 
 def train_baseline(train_ds: LongTailDataset, test_ds: LongTailDataset,
-                   loss_name: str = "asl", loss_cfg: dict | None = None,
+                   loss_name: str = "asl",
                    epochs: int = _TRAIN["epochs"].default,
                    batch_size: int = _TRAIN["batch_size"].default,
                    learning_rate: float = _TRAIN["learning_rate"].default,
@@ -78,7 +78,7 @@ def train_baseline(train_ds: LongTailDataset, test_ds: LongTailDataset,
     check_test_split(train_ds, test_ds)
     params = init_baseline(train_ds.features.shape[2], train_ds.c, seed)
     adam = Adam(params.learnable(), learning_rate, weight_decay)
-    loss_fn = get_loss(loss_name, loss_cfg)
+    loss_fn = get_loss(loss_name)
     groups = split_groups(train_ds.class_counts)
 
     for epoch in range(epochs):

@@ -143,18 +143,18 @@ def asl(s: Tensor, y: np.ndarray, cfg: ASLConfig | None = None) -> Tensor:
     return _from_op(out, (s,), _bw)
 
 
-def bce(s: Tensor, y: np.ndarray, eps: float = 1e-8) -> Tensor:
+def bce(s: Tensor, y: np.ndarray) -> Tensor:
     """Plain binary cross-entropy over probabilities: focal at gamma 0."""
-    return focal(s, y, 0.0, eps)
+    return focal(s, y, 0.0)
 
 
-def focal(s: Tensor, y: np.ndarray, gamma: float = 2.0, eps: float = 1e-8) -> Tensor:
+def focal(s: Tensor, y: np.ndarray, gamma: float = 2.0) -> Tensor:
     """Symmetric focal loss, ASL with gamma on both branches and no margin:
 
     -[ y * (1-s)^gamma * log(s) + (1-y) * s^gamma * log(1-s) ];
     gamma = 0 reduces to ``bce``.
     """
-    return asl(s, y, ASLConfig(gamma, gamma, 0.0, eps))
+    return asl(s, y, ASLConfig(gamma, gamma, 0.0))
 
 
 def get_loss(name: str, loss_cfg: dict | None = None) -> Callable[[Tensor, np.ndarray], Tensor]:

@@ -48,7 +48,6 @@ from .autodiff import Tensor
 from .schema import check_fields, integer, key, number
 
 __all__ = [
-    "LN_EPS",
     "ModelDims",
     "param_shapes",
     "ModelParams",
@@ -60,9 +59,6 @@ __all__ = [
     "forward_batch",
     "dual_path_grads",
 ]
-
-LN_EPS = 1e-5
-
 
 @dataclass
 class ModelDims:
@@ -208,9 +204,6 @@ def vsi_forward(F: Tensor, P: Tensor, params: ModelParams) -> Tensor:
     (``params.literal_equations``): single-head attention (scale
     1/sqrt(d)), then the feed-forward — nothing else.
     """
-    if F.shape[:-2] != P.shape[:-2] or F.shape[-1] != P.shape[-1]:
-        raise ad.ShapeError(f"tokens {F.shape} and prompts {P.shape} disagree on "
-                            "leading axes or width")
     t = params.tensors
     literal = params.literal_equations
     z = ad.concat_rows(F, P)
@@ -220,14 +213,13 @@ def vsi_forward(F: Tensor, P: Tensor, params: ModelParams) -> Tensor:
                      1 if literal else params.dims.heads)
     if not literal:   # output map, residual, norm
         x = ad.layer_norm_rows(ad.add(P, ad.linear(x, t["interaction.w_attn_out"])),
-                               t["interaction.ln1_gain"], t["interaction.ln1_bias"],
-                               eps=LN_EPS)
+                               t["interaction.ln1_gain"], t["interaction.ln1_bias"])
     hidden = ad.gelu(ad.linear(x, t["interaction.w_ffn_in"], t["interaction.b_ffn_in"]))
     ffn = ad.linear(hidden, t["interaction.w_ffn_out"], t["interaction.b_ffn_out"])
     if literal:
         return ffn
     return ad.layer_norm_rows(ad.add(x, ffn), t["interaction.ln2_gain"],
-                              t["interaction.ln2_bias"], eps=LN_EPS)
+                              t["interaction.ln2_bias"])
 
 
 def classify(p_refined: Tensor, p_initial: Tensor) -> Tensor:
@@ -235,9 +227,6 @@ def classify(p_refined: Tensor, p_initial: Tensor) -> Tensor:
     product, class by class, (..., c, d) -> (..., c).  No cross-class
     score matrix exists — class j's probability involves only row j of
     each prompt set."""
-    if p_refined.shape != p_initial.shape:
-        raise ad.ShapeError(
-            f"prompt sets must match, got {p_refined.shape} vs {p_initial.shape}")
     return ad.sigmoid(ad.sum_rows(ad.mul(p_refined, p_initial)))
 
 

@@ -190,7 +190,7 @@ class Adam:
 
     def zero_grad(self) -> None:
         for p in self.params.values():
-            p.zero_grad()
+            p.grad = None
 
     def step(self) -> None:
         g = np.concatenate([p.grad_or_zeros() for p in self.params.values()], axis=None)

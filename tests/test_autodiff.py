@@ -93,6 +93,20 @@ class TestForwardValues:
         with pytest.raises(ad.ShapeError, match=re.escape(str(named))):
             ad.linear(x, w, b)
 
+    @pytest.mark.parametrize("op, shapes", [
+        (ad.add, [(2, 3), (3, 2)]),
+        (ad.mul, [(2, 3), (2, 3, 1)]),
+        (lambda x: ad.broadcast_batch(x, 0), [(2, 3)]),
+        (ad.layer_norm_rows, [(2, 3), (2,), (3,)]),   # gain is not as long as the last axis
+        (ad.layer_norm_rows, [(2, 3), (3,), (1, 3)]),   # neither is the bias
+        (ad.layer_norm_rows, [(), (1,), (1,)]),   # a 0-d input has no last axis
+        (ad.sum_rows, [()]),
+    ], ids=["add", "mul", "broadcast-0", "ln-gain", "ln-bias", "ln-0d", "sum-rows-0d"])
+    def test_ops_refuse_bad_shapes_and_name_them(self, op, shapes):
+        named = ".*".join(re.escape(str(shape)) for shape in shapes)
+        with pytest.raises(ad.ShapeError, match=named):
+            op(*(ad.constant(np.zeros(shape)) for shape in shapes))
+
     def test_gelu_known_values(self):
         # gelu(0) = 0; gelu(x) = x * Phi(x) with Phi the standard normal CDF.
         x = np.array([0.0, 1.0, -1.0, 3.0, -3.0])
@@ -283,6 +297,27 @@ class TestBackward:
         w = ad.parameter(np.ones((2, 2)))
         with pytest.raises(ad.ShapeError):
             ad.backward(ad.mul(w, w))
+
+    def test_backward_of_a_loss_that_needs_no_gradient_deposits_nothing(self):
+        w, x = ad.parameter(np.ones(2)), ad.constant(np.ones(2))
+        with ad.no_grad():
+            detached = ad.inner_sum([w], [np.ones(2)])
+        for loss in (ad.inner_sum([x], [np.ones(2)]), detached):
+            assert ad.backward(loss) is None
+            assert loss.grad is None
+        assert w.grad is None and x.grad is None
+
+    def test_grad_check_refuses_a_non_finite_starting_loss_after_one_call(self):
+        w = ad.parameter(np.ones(2))
+        calls = []
+
+        def f():
+            calls.append(w.data.copy())
+            return ad.inner_sum([w], [np.array([1.0, np.nan])])
+
+        with pytest.raises(ad.NonFiniteError, match="loss is not finite"):
+            ad.grad_check(f, {"w": w})
+        assert len(calls) == 1 and w.grad is None
 
     def test_grad_check_rejects_zero_eps(self):
         w = ad.parameter(np.ones(2))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from promptrefine.cli import GEN_FLAGS, build_parser, main
-from promptrefine.data import GeneratorConfig, load_features
+from promptrefine.data import GeneratorConfig, LongTailDataset, load_features, save_features
 from promptrefine.model import ModelDims
 from promptrefine.training import TrainConfig
 
@@ -82,6 +82,29 @@ class TestTrainEval:
         payload = json.loads(report_path.read_text())
         assert set(payload) >= {"per_class_ap", "map_total", "map_head",
                                 "map_medium", "map_tail"}
+
+    def test_eval_without_report_names_skipped_classes_and_writes_nothing(
+            self, tmp_path, data_dir, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        assert main(["train", "--config", str(cfg_path), "--data", str(data_dir),
+                     "--out", str(tmp_path / "run")]) == 0
+        # the test split without class 2: its rows that keep another positive
+        test = load_features(data_dir / "test.cprf")
+        labels = test.labels.copy()
+        labels[:, 2] = 0
+        keep = labels.any(axis=1)
+        no_2 = tmp_path / "no_class_2.cprf"
+        save_features(LongTailDataset(test.features[keep], labels[keep], test.class_names), no_2)
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint_final.cprc"),
+                   "--data", str(no_2)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "skipped classes (no positives): [2]" in out
+        assert "report" not in out
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_train_resume_flag(self, tmp_path, data_dir, capsys):
         cfg_path = tmp_path / "cfg.json"

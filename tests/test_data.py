@@ -381,6 +381,14 @@ class TestEmbeddingProvider:
                 embedding_provider(mode, path=path, c=5, m=4, class_names=names)
         assert embedding_provider("random", m=4, class_names=names).shape == (3, 4)
 
+    @pytest.mark.parametrize("mode, given, message", [
+        ("random", {"c": 3}, "random embeddings need c and m"),
+        ("file", {}, "file embeddings need a path"),
+    ], ids=["random-without-m", "file-without-path"])
+    def test_refuses_a_mode_without_its_inputs(self, mode, given, message):
+        with pytest.raises(ValueError, match=message):
+            embedding_provider(mode, **given)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             embedding_provider("glove")
@@ -413,6 +421,12 @@ class TestClassMeanEmbeddings:
                 sums[j] += features.mean(axis=0)
                 n[j] += 1
         assert class_mean_embeddings(train).tobytes() == (sums / n[:, None]).tobytes()
+
+    def test_refuses_a_class_without_positives_and_names_it(self):
+        labels = np.array([[1, 0, 0], [1, 0, 1]])
+        dataset = LongTailDataset(np.zeros((2, 2, 3)), labels, ["a", "b", "c"])
+        with pytest.raises(ValueError, match=r"classes without positives: \[1\]"):
+            class_mean_embeddings(dataset)
 
     def test_shape(self):
         cfg = GeneratorConfig(c=6, v=4, d0=7, n_max=20, seed=1)

@@ -110,6 +110,13 @@ class TestMapReport:
         # group sizes still reflect the assignment
         assert rep.n_classes_per_group == [2, 2, 2]
 
+    def test_refuses_scores_and_labels_of_different_shapes(self):
+        scores, labels, groups = self._toy()
+        with pytest.raises(ValueError, match=r"\(30, 6\) vs \(30, 5\)"):
+            map_report(scores, labels[:, :5], groups)
+        with pytest.raises(ValueError, match=r"\(29, 6\) vs \(30, 6\)"):
+            map_report(scores[1:], labels, groups)
+
     def test_group_tag_validation(self):
         scores, labels, _ = self._toy()
         with pytest.raises(ValueError, match="unknown group"):

@@ -5,6 +5,8 @@ of the forward pass that never touches the autodiff engine.  Everything
 the engine computes is checked against it.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -141,6 +143,20 @@ class TestShapesAndInit:
             mdl.ModelDims(d0=4, d=10, v=2, c=2, heads=3, ffn=4)
         with pytest.raises(ValueError, match="hidden width"):
             mdl.ModelDims(d0=4, d=2, v=2, c=2, heads=1, ffn=4, tau=0.1)
+
+    @pytest.mark.parametrize("stage, shapes", [
+        ("vsi_forward", [(2, 3, 8), (1, 4, 8)]),   # leading axes differ
+        ("vsi_forward", [(3, 8), (4, 6)]),   # widths differ
+        ("classify", [(2, 4, 8), (4, 8)]),
+        ("classify", [(4, 8), (3, 8)]),
+    ], ids=["vsi-lead", "vsi-width", "classify-lead", "classify-rows"])
+    def test_stages_refuse_mismatched_shapes_and_name_both(self, stage, shapes):
+        """The first op of each stage, concat_rows or mul, does the refusing."""
+        a, b = (ad.constant(np.zeros(shape)) for shape in shapes)
+        args = (a, b, make_model()) if stage == "vsi_forward" else (a, b)
+        with pytest.raises(ad.ShapeError, match=re.escape(str(shapes[0])) + ".*"
+                           + re.escape(str(shapes[1]))):
+            getattr(mdl, stage)(*args)
 
     def test_feature_shape_error_names_shapes(self):
         params = make_model()

@@ -79,23 +79,12 @@ class TestAdam:
         p = ad.parameter(np.array([0.7]))
         adam = Adam({"x": p}, learning_rate=0.01, weight_decay=0.05)
         gs = [0.3, -1.2, 0.4, 0.9, -0.2]
-        x = 0.7
-        applied = []
         for g in gs:
-            applied.append(g)
             p.grad = np.array([g], dtype=np.float64)
             adam.step()
             p.grad = None
-        # oracle needs the parameter value at each step for weight decay,
-        # so replay it: feed raw gradients and let the oracle add wd*x
-        expected = 0.7
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        m = v = 0.0
-        for t, g in enumerate(gs, start=1):
-            gt = g + 0.05 * expected
-            m = b1 * m + (1 - b1) * gt
-            v = b2 * v + (1 - b2) * gt * gt
-            expected -= 0.01 * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+        # the oracle takes the raw gradients and adds wd * x itself
+        expected = self.adam_oracle(gs, lr=0.01, wd=0.05, x0=0.7)
         np.testing.assert_allclose(p.data[0], expected, rtol=1e-14)
 
     def test_first_step_is_signed_lr(self):
