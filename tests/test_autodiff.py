@@ -312,7 +312,7 @@ class TestBackward:
         calls = []
 
         def f():
-            calls.append(w.data.copy())
+            calls.append(1)
             return ad.inner_sum([w], [np.array([1.0, np.nan])])
 
         with pytest.raises(ad.NonFiniteError, match="loss is not finite"):

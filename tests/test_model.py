@@ -154,8 +154,8 @@ class TestShapesAndInit:
         """The first op of each stage, concat_rows or mul, does the refusing."""
         a, b = (ad.constant(np.zeros(shape)) for shape in shapes)
         args = (a, b, make_model()) if stage == "vsi_forward" else (a, b)
-        with pytest.raises(ad.ShapeError, match=re.escape(str(shapes[0])) + ".*"
-                           + re.escape(str(shapes[1]))):
+        named = ".*".join(re.escape(str(shape)) for shape in shapes)
+        with pytest.raises(ad.ShapeError, match=named):
             getattr(mdl, stage)(*args)
 
     def test_feature_shape_error_names_shapes(self):

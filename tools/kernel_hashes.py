@@ -42,12 +42,6 @@ def child_env(kernel: str) -> dict:
     return env
 
 
-def failure(name: str, rc: int) -> str | None:
-    if rc < 0:
-        return f"{name} killed by signal {-rc}"
-    return f"{name} exited {rc}" if rc else None
-
-
 def main() -> int:
     failures = []
     for kernel in KERNELS:
@@ -59,9 +53,11 @@ def main() -> int:
         print(f"TestBitwiseOracles {re.sub(r' in [0-9.]+s.*', '', lines[-1])}", flush=True)
         if oracles.returncode:
             print(oracles.stdout + oracles.stderr, file=sys.stderr, flush=True)
-        failures += [f"{kernel}: {f}" for f in (failure("checkpoint_hashes", hashes.returncode),
-                                                 failure("TestBitwiseOracles", oracles.returncode))
-                     if f]
+        for name, rc in (("checkpoint_hashes", hashes.returncode),
+                         ("TestBitwiseOracles", oracles.returncode)):
+            if rc:
+                how = f"killed by signal {-rc}" if rc < 0 else f"exited {rc}"
+                failures.append(f"{kernel}: {name} {how}")
     for f in failures:
         print(f"FAILED {f}", flush=True)
     return 1 if failures else 0
