@@ -75,11 +75,11 @@ print("""Central differences at step eps carry subtraction noise of order
 machine_eps * |objective| / eps, so probing a raw initialization (loss ~ a
 few nats) cannot resolve relative errors near 1e-4 on entries whose true
 gradient is incidentally tiny.  run_gradcheck therefore settles the probe
-batch to a moderate loss first and tilts the objective so every reference
-derivative is bounded away from zero.  The tilt is exactly linear, so
-grad_check adds it analytically to both sides (grad_check(..., tilt=...))
-and probes the bare loss: it adds no truncation error and hides no
-backward defect.
+batch to a moderate loss first and divides each entry's difference by at
+least 1e-5 (grad_check(..., floor=1e-5)), so a near-zero gradient is judged
+on a difference the probes can resolve.  The probes still evaluate the bare
+loss, so the floor adds no truncation error and hides no backward defect of
+ordinary size.
 """)
 
 cfg = TrainConfig.from_dict({

@@ -503,39 +503,30 @@ class GradCheckResult:
 def grad_check(f: Callable[[], Tensor],
                params: Mapping[str, Tensor],
                eps: float = 1e-5,
-               tilt: Mapping[str, np.ndarray] | None = None) -> GradCheckResult:
+               floor: float = 1e-8) -> GradCheckResult:
     """Compare backward gradients against central finite differences.
 
     ``f`` rebuilds the scalar loss from scratch on every call (reading the
     current values of ``params``).  For each parameter entry the numeric
     derivative is (f(x+eps) - f(x-eps)) / (2*eps) and the reported error is
 
-        |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)
+        |analytic - numeric| / max(|analytic|, |numeric|, floor)
 
-    maximised over all entries.  The probes run under :func:`no_grad`.
-    Non-finite values raise :class:`NonFiniteError` naming the offending
-    parameter.
-
-    ``tilt`` ({name: array of that parameter's shape}) adds the linear term
-    ``sum <tilt[name], params[name]>`` analytically to both sides, to the
-    gradients and to each central difference; it never enters the probes.
+    maximised over all entries.  The probes run under :func:`no_grad`, and
+    each entry is restored even when ``f`` raises.  Non-finite values raise
+    :class:`NonFiniteError` naming the offending parameter entry.
     """
-    if not 0 < eps < math.inf:
-        raise ValueError(f"grad_check eps must be a finite number > 0, got {eps}")
+    for name, value in (("eps", eps), ("floor", floor)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"grad_check {name} must be a finite number > 0, got {value}")
     items = list(params.items())
-    tilt = {name: np.zeros(t.shape) for name, t in items} if tilt is None else tilt
-    if bad := sorted(tilt.keys() ^ params.keys()) or [
-            n for n, t in items if np.shape(tilt[n]) != t.shape]:
-        raise ShapeError(f"grad_check tilt must match the parameters' names and shapes: {bad}")
-    if bad := [n for n in tilt if not np.isfinite(tilt[n]).all()]:
-        raise NonFiniteError(f"grad_check: tilt is not finite for {bad}")
     for _, t in items:
         t.grad = None
     loss = f()
     if not np.isfinite(loss.data).all():
         raise NonFiniteError("grad_check: loss is not finite")
     backward(loss)
-    analytic = {name: t.grad_or_zeros() + tilt[name] for name, t in items}
+    analytic = {name: t.grad_or_zeros() for name, t in items}
 
     worst = 0.0
     worst_name = ""
@@ -546,19 +537,22 @@ def grad_check(f: Callable[[], Tensor],
                 continue
             flat = t.data.reshape(-1)
             a_flat = analytic[name].reshape(-1)
-            t_flat = np.reshape(tilt[name], -1)
             for i in range(flat.size):
                 saved = flat[i]
-                flat[i] = saved + eps
-                up = f().data.item()
-                flat[i] = saved - eps
-                down = f().data.item()
-                flat[i] = saved
+                try:
+                    flat[i] = saved + eps
+                    up = f().data.item()
+                    flat[i] = saved - eps
+                    down = f().data.item()
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"{exc} while perturbing {name}[{i}]") from exc
+                finally:
+                    flat[i] = saved
                 if not (math.isfinite(up) and math.isfinite(down)):
                     raise NonFiniteError(
                         f"grad_check: non-finite loss while perturbing {name}[{i}]")
-                numeric = (up - down) / (2.0 * eps) + t_flat[i]
-                rel = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), 1e-8)
+                numeric = (up - down) / (2.0 * eps)
+                rel = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), floor)
                 n_entries += 1
                 if rel > worst:
                     worst = rel

@@ -320,15 +320,21 @@ class TestBackward:
         assert len(calls) == 1 and w.grad is None
 
     def test_grad_check_rejects_zero_eps(self):
+        # a floor of 0 or below is refused the same way
         w = ad.parameter(np.ones(2))
-        with pytest.raises(ValueError):
-            ad.grad_check(lambda: ad.inner_sum([w], [np.ones(2)]), {"w": w}, eps=0.0)
+        for name, value in (("eps", 0.0), ("floor", 0.0), ("floor", -1.0)):
+            with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
+                ad.grad_check(lambda: ad.inner_sum([w], [np.ones(2)]), {"w": w},
+                              **{name: value})
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_grad_check_refuses_an_eps_that_is_not_finite(self, eps):
+        # a floor of the same value is refused the same way
         w = ad.parameter(np.ones(2))
-        with pytest.raises(ValueError, match="eps must be a finite number > 0"):
-            ad.grad_check(lambda: ad.inner_sum([w], [np.ones(2)]), {"w": w}, eps=eps)
+        for name in ("eps", "floor"):
+            with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
+                ad.grad_check(lambda: ad.inner_sum([w], [np.ones(2)]), {"w": w},
+                              **{name: eps})
 
     @pytest.mark.parametrize("shape", [(1,), (1, 1)])
     def test_grad_check_takes_a_size_one_loss_of_any_rank(self, shape):
@@ -347,66 +353,46 @@ class TestBackward:
         with pytest.raises(ad.NonFiniteError, match="w"):
             ad.grad_check(f, {"w": w}, eps=1e9)
 
+    @pytest.mark.parametrize("error, suffix", [
+        (ad.NonFiniteError, " while perturbing w[1]"),
+        (ValueError, ""),
+    ])
+    def test_grad_check_restores_the_entry_a_probe_raises_on(self, error, suffix):
+        w = ad.parameter(np.array([1.0, 2.0]))
 
-class TestGradCheckTilt:
-    """``grad_check(..., tilt=...)`` checks ``f() + sum <tilt, param>`` with
-    the linear term added analytically to both sides."""
+        def f():
+            # refuses its input once w[1] moves up, as asl refuses a NaN score
+            if w.data[1] > 2.0:
+                raise error("scores are not finite: [nan]")
+            return ad.inner_sum([w], [np.ones(2)])
 
-    @staticmethod
-    def counted(f):
-        calls = []
+        with pytest.raises(error) as raised:
+            ad.grad_check(f, {"w": w})
+        assert str(raised.value) == "scores are not finite: [nan]" + suffix
+        assert w.data.tolist() == [1.0, 2.0]
 
-        def g():
-            calls.append(1)
-            return f()
-        return g, calls
 
-    def test_refuses_a_tilt_with_other_names_before_any_probe(self):
-        w = ad.parameter(np.ones(2))
-        f, calls = self.counted(lambda: ad.inner_sum([w], [np.ones(2)]))
-        with pytest.raises(ad.ShapeError, match="'v'"):
-            ad.grad_check(f, {"w": w}, tilt={"w": np.ones(2), "v": np.ones(2)})
-        with pytest.raises(ad.ShapeError, match="'w'"):
-            ad.grad_check(f, {"w": w}, tilt={})
-        assert calls == []
+class TestGradCheckFloor:
+    """``grad_check(..., floor=...)`` divides each entry's difference by
+    ``max(|analytic|, |numeric|, floor)``."""
 
-    def test_refuses_a_tilt_of_another_shape_before_any_probe(self):
-        w = ad.parameter(np.ones(2))
-        b = ad.parameter(np.ones((2, 3)))
-        f, calls = self.counted(lambda: ad.inner_sum([w, b], [np.ones(2), np.ones((2, 3))]))
-        with pytest.raises(ad.ShapeError, match=r"\['b'\]"):
-            ad.grad_check(f, {"w": w, "b": b}, tilt={"w": np.ones(2), "b": np.ones((3, 2))})
-        assert calls == []
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_refuses_a_non_finite_tilt_before_any_probe(self, bad):
-        w = ad.parameter(np.ones(2))
-        b = ad.parameter(np.ones(3))
-        f, calls = self.counted(lambda: ad.inner_sum([w, b], [np.ones(2), np.ones(3)]))
-        with pytest.raises(ad.NonFiniteError, match=r"\['b'\]"):
-            ad.grad_check(f, {"w": w, "b": b},
-                          tilt={"w": np.ones(2), "b": np.array([0.0, bad, 1.0])})
-        assert calls == []
-
-    def test_a_correct_op_checked_with_a_tilt_passes(self):
+    def test_a_correct_op_checked_with_a_floor_passes(self):
         rng = np.random.default_rng(5)
         x = ad.parameter(rng.standard_normal((3, 5)))
         gain = ad.parameter(rng.standard_normal(5))
         bias = ad.parameter(rng.standard_normal(5))
         sel = rng.standard_normal((3, 5))
-        params = {"x": x, "gain": gain, "bias": bias}
-        tilt = {k: rng.uniform(1e-5, 2e-5, size=t.shape) for k, t in params.items()}
 
         def f():
             return ad.inner_sum([ad.gelu(ad.layer_norm_rows(x, gain, bias))], [sel])
 
-        result = ad.grad_check(f, params, eps=1e-6, tilt=tilt)
+        result = ad.grad_check(f, {"x": x, "gain": gain, "bias": bias}, eps=1e-6, floor=1e-5)
         assert result.n_entries == 25 and result.max_rel_error < 1e-6
 
-    def test_a_tilt_does_not_mask_a_backward_defect(self):
+    def test_a_floor_does_not_mask_a_backward_defect(self):
         # gelu with its backward scaled by 1.001, minus an exact gelu: the
         # true objective is flat, so the analytic gradient is the defect
-        # alone, and a tilt of the size run_gradcheck uses must not hide it.
+        # alone, and a floor of the size run_gradcheck uses must not hide it.
         def buggy_gelu(t):
             out = ad.gelu(t)
             real_bw = out._backward
@@ -420,9 +406,34 @@ class TestGradCheckTilt:
         def f():
             return ad.inner_sum([ad.add(buggy_gelu(x), times(ad.gelu(x), -1.0))], [weights])
 
-        tilt = {"x": rng.uniform(1e-5, 2e-5, size=(4, 6))}
-        result = ad.grad_check(f, {"x": x}, eps=1e-6, tilt=tilt)
+        result = ad.grad_check(f, {"x": x}, eps=1e-6, floor=1e-5)
         assert result.max_rel_error > 1e-3
+
+    def test_reported_error_is_the_floored_relative_difference(self):
+        # A large constant term makes the probes' subtraction noise ~1e-7,
+        # and near-zero weights give entries whose gradient is below both
+        # floors, so the floor decides their error.
+        rng = np.random.default_rng(21)
+        x = ad.parameter(rng.standard_normal((3, 4)))
+        weights = rng.standard_normal((3, 4))
+        weights[:, 1] = 1e-9
+        offset = ad.constant(np.full((3, 4), 1e3))
+
+        def f():
+            return ad.inner_sum([ad.gelu(x), offset], [weights, np.ones((3, 4))])
+
+        x.grad = None
+        ad.backward(f())
+        a = x.grad.copy()
+        n = numeric_grad(lambda _: f().data.item(), x.data, eps=1e-6)
+        errors = {}
+        for floor in (1e-8, 1e-5):
+            rel = np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+            result = ad.grad_check(f, {"x": x}, eps=1e-6, floor=floor)
+            assert result.max_rel_error == pytest.approx(rel.max(), rel=1e-12)
+            assert result.worst_param == f"x[{int(rel.argmax())}]"
+            errors[floor] = result.max_rel_error
+        assert errors[1e-5] < errors[1e-8]
 
 
 class TestGraphSemantics:

@@ -31,6 +31,7 @@ from promptrefine.training import (
     Adam,
     Checkpoint,
     CheckpointMismatchError,
+    GRADCHECK_BATCH,
     TrainConfig,
     checkpoint_tensors,
     evaluate,
@@ -1035,6 +1036,18 @@ class TestGradcheckEntry:
         assert isinstance(report, ad.GradCheckResult)
         assert report.max_rel_error < 1e-4, f"max rel error {report.max_rel_error:.2e}"
         assert report.n_entries > 0
+
+    def test_passes_when_a_drawn_label_row_is_empty(self):
+        # At these dims seed 3 draws no positive for the first sample, so
+        # run_gradcheck gives that row one before the loss sees it.
+        dims = ModelDims(d0=4, d=8, v=3, c=4, heads=2, ffn=8)
+        rng = np.random.default_rng(3)
+        rng.standard_normal((GRADCHECK_BATCH, dims.v, dims.d0))
+        assert not (rng.uniform(size=(GRADCHECK_BATCH, dims.c)) < 0.4)[0].any()
+        cfg = tiny_config(dims=dims, seed=3,
+                          embedding={"mode": "random", "path": None, "m": 5, "seed": 1})
+        report = run_gradcheck(cfg, eps=1e-5)
+        assert report.max_rel_error < 1e-4, f"max rel error {report.max_rel_error:.2e}"
 
     def test_refuses_oversized_model(self):
         cfg = tiny_config(dims=ModelDims(d0=64, d=128, v=8, c=32, heads=4, ffn=256),
