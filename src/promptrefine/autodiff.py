@@ -535,9 +535,9 @@ def grad_check(f: Callable[[], Tensor],
         for name, t in items:
             if not t.requires_grad:
                 continue
-            flat = t.data.reshape(-1)
+            flat = t.data.flat   # writes through any layout; reshape may copy
             a_flat = analytic[name].reshape(-1)
-            for i in range(flat.size):
+            for i in range(t.data.size):
                 saved = flat[i]
                 try:
                     flat[i] = saved + eps

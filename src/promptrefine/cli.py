@@ -16,7 +16,7 @@ from pathlib import Path
 from .data import (FileFormatError, GeneratorConfig, _write_atomic, generate_synthetic_lt,
                    save_features, split_groups)
 from .metrics import MAP_KEYS
-from .schema import spec_of
+from .schema import positive, spec_of
 from .training import TrainConfig, evaluate, run_gradcheck, train
 
 __all__ = ["main"]
@@ -85,9 +85,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    for flag, value in (("eps", args.eps), ("tolerance", args.tolerance)):
-        if not 0 < value < float("inf"):   # NaN fails both comparisons
-            raise ValueError(f"--{flag} must be a finite number > 0, got {value}")
+    for flag in ("eps", "tolerance"):
+        positive(getattr(args, flag), f"--{flag}")
     cfg = _read_config(args.config)
     result = run_gradcheck(cfg, eps=args.eps)
     passed = result.max_rel_error < args.tolerance

@@ -255,29 +255,6 @@ def generate_synthetic_lt(cfg: GeneratorConfig) -> tuple[LongTailDataset, LongTa
 # binary file I/O
 # ---------------------------------------------------------------------------
 
-class _Reader:
-    """Cursor over bytes that raises FileTruncatedError on short reads."""
-
-    def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FileTruncatedError(
-                f"{self.path}: needed {n} bytes at offset {self.pos}, "
-                f"file has {len(self.blob)}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def done(self) -> None:
-        if self.pos != len(self.blob):
-            raise FileFormatError(
-                f"{self.path}: {len(self.blob) - self.pos} trailing bytes after payload")
-
-
 def _write_atomic(path, blob: bytes) -> None:
     """Write ``blob`` to a temp file in the target's directory, then
     ``os.replace`` it onto ``path``: a reader sees the old file or the new
@@ -316,56 +293,70 @@ def _refuse_constant(token: str):
 
 
 def read_container(path, magic: bytes, schema: dict) -> tuple[dict, dict]:
-    """Read a file written by ``write_container``: ``(arrays, meta)``, the
-    arrays read-only views of the file's bytes, in file order.  ``schema``
-    maps each required name to ``(dtype, ndim)``; key ``"*"`` admits any
-    other name and ndim None any rank.  A malformed file — bad magic,
-    version, JSON (a NaN or Infinity token too) or schema, an inexact byte
-    count, a non-finite float — raises ``FileFormatError`` or a subclass."""
-    r = _Reader(Path(path).read_bytes(), str(path))
-    got = r.take(4)
+    """Read a file written by ``write_container``: ``(arrays, meta)``, in
+    file order, each array read-only over its own aligned copy of its
+    bytes.  ``schema`` maps each required name to ``(dtype, ndim)``; key
+    ``"*"`` admits any other name and ndim None any rank.  A malformed
+    file — bad magic, version, JSON (a NaN or Infinity token too) or
+    schema, an inexact byte count, a non-finite float — raises
+    ``FileFormatError`` or a subclass."""
+    blob = Path(path).read_bytes()
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(blob):
+            raise FileTruncatedError(f"{path}: needed {n} bytes at offset {pos}, "
+                                     f"file has {len(blob)}")
+        pos += n
+        # A slice copies, so each array gets its own aligned bytes; a view into
+        # ``blob`` would sit unaligned wherever the header length puts it.
+        return blob[pos - n:pos]
+
+    got = take(4)
     if got != magic:
-        raise FileFormatError(f"{r.path}: bad magic {got!r}, expected {magic!r}")
-    version, header_len = struct.unpack("<II", r.take(8))
+        raise FileFormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
+    version, header_len = struct.unpack("<II", take(8))
     if version != FORMAT_VERSION:
-        raise FileVersionError(f"{r.path}: unsupported version {version}")
-    raw = r.take(header_len)
+        raise FileVersionError(f"{path}: unsupported version {version}")
+    raw = take(header_len)
     try:
         header = json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant)
     except (ValueError, RecursionError) as exc:   # UnicodeDecodeError, JSONDecodeError
-        raise FileFormatError(f"{r.path}: header is not UTF-8 JSON: {exc}") from exc
+        raise FileFormatError(f"{path}: header is not UTF-8 JSON: {exc}") from exc
     if not (isinstance(header, dict) and sorted(header) == ["arrays", "meta"]
             and isinstance(header["arrays"], list) and isinstance(header["meta"], dict)):
-        raise FileFormatError(f"{r.path}: header must be an object with an 'arrays' "
+        raise FileFormatError(f"{path}: header must be an object with an 'arrays' "
                               "list and a 'meta' object")
     arrays = {}
     for entry in header["arrays"]:
         if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
                 and isinstance(entry[2], list)
                 and all(type(n) is int and n >= 0 for n in entry[2])):
-            raise FileFormatError(f"{r.path}: bad array entry {entry!r}, "
+            raise FileFormatError(f"{path}: bad array entry {entry!r}, "
                                   "expected [name, dtype, [dims >= 0]]")
         name, dtype, shape = entry
         rule = schema.get(name, schema.get("*"))
         if rule is None or name in arrays:
-            raise FileFormatError(f"{r.path}: unexpected or repeated array {name!r}")
+            raise FileFormatError(f"{path}: unexpected or repeated array {name!r}")
         if dtype != rule[0] or rule[1] not in (None, len(shape)):
-            raise FileFormatError(f"{r.path}: array {name!r} is {dtype!r} of rank "
+            raise FileFormatError(f"{path}: array {name!r} is {dtype!r} of rank "
                                   f"{len(shape)}, expected {rule[0]!r} of rank {rule[1]}")
         # Python ints: the byte count of an oversize shape never wraps, so it
         # fails take()'s bound check against the bytes left.
-        raw = r.take(np.dtype(dtype).itemsize * math.prod(shape))
+        raw = take(np.dtype(dtype).itemsize * math.prod(shape))
         try:
             a = np.frombuffer(raw, dtype=dtype).reshape(shape)
         except ValueError as exc:   # a zero-size shape with dims numpy cannot hold
-            raise FileFormatError(f"{r.path}: array {name!r} has shape {shape}: {exc}") from exc
+            raise FileFormatError(f"{path}: array {name!r} has shape {shape}: {exc}") from exc
         if a.dtype.kind == "f" and not np.isfinite(a).all():
-            raise FileFormatError(f"{r.path}: array {name!r} has non-finite values")
+            raise FileFormatError(f"{path}: array {name!r} has non-finite values")
         arrays[name] = a
-    r.done()
+    if pos != len(blob):
+        raise FileFormatError(f"{path}: {len(blob) - pos} trailing bytes after payload")
     missing = sorted(set(schema) - set(arrays) - {"*"})
     if missing:
-        raise FileFormatError(f"{r.path}: missing arrays {missing}")
+        raise FileFormatError(f"{path}: missing arrays {missing}")
     return arrays, header["meta"]
 
 

@@ -38,6 +38,9 @@ def average_precision(scores, labels) -> float:
             f"scores and labels must be equal-length vectors, got {scores.shape} vs {labels.shape}")
     if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be binary")
+    if not np.isfinite(scores).all():
+        raise ValueError(f"{np.count_nonzero(~np.isfinite(scores))} of {scores.size} "
+                         "scores are not finite")
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise NoPositivesError("no positive instances; AP is undefined")

@@ -274,7 +274,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any malformed file raises ``FileFormatError``.
-    The tensors are read-only views of the file's bytes."""
+    Each tensor is a read-only array over its own aligned copy of the
+    file's bytes."""
     tensors, meta = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA)
     try:
         return build(Checkpoint, meta, tensors=tensors)

@@ -371,6 +371,19 @@ class TestBackward:
         assert str(raised.value) == "scores are not finite: [nan]" + suffix
         assert w.data.tolist() == [1.0, 2.0]
 
+    def test_grad_check_probes_a_parameter_whose_data_is_not_contiguous(self):
+        # w's data is a transposed view: a probe through a reshaped copy of it
+        # would never reach the loss, and every entry would read error 1.
+        rng = np.random.default_rng(4)
+        x = ad.constant(rng.standard_normal((3, 4)))
+        w = ad.parameter(rng.standard_normal((5, 4)).T)
+        before = w.data.copy()
+        assert not w.data.flags.c_contiguous
+        weights = rng.standard_normal((3, 5))
+        result = ad.grad_check(lambda: ad.inner_sum([ad.linear(x, w)], [weights]), {"w": w})
+        assert result.n_entries == 20 and result.max_rel_error < 1e-8
+        assert np.array_equal(w.data, before)
+
 
 class TestGradCheckFloor:
     """``grad_check(..., floor=...)`` divides each entry's difference by

@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from promptrefine.data import (
+    EMBEDDING_MAGIC,
+    EMBEDDING_SCHEMA,
+    FEATURE_MAGIC,
+    FEATURE_SCHEMA,
     FileFormatError,
     FileTruncatedError,
     FileVersionError,
@@ -22,8 +26,9 @@ from promptrefine.data import (
     write_container,
 )
 from promptrefine.model import ModelDims, init_model
-from promptrefine.training import (Adam, Checkpoint, TrainConfig, checkpoint_tensors,
-                                   load_checkpoint, save_checkpoint)
+from promptrefine.training import (CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA, Adam, Checkpoint,
+                                   TrainConfig, checkpoint_tensors, load_checkpoint,
+                                   save_checkpoint)
 
 MAGIC = b"TEST"
 SCHEMA = {"a": ("<f8", 2), "b": ("<f4", 1), "c": ("|u1", None)}
@@ -97,6 +102,15 @@ class TestContainer:
         assert header["arrays"] == [["a", "<f8", [2, 3]], ["b", "<f4", [2]],
                                     ["c", "|u1", [2, 3, 4]]]
         assert payload == b"".join(a.tobytes() for a in _arrays().values())
+        # Each array owns an aligned copy of its bytes, whatever offset the
+        # header length leaves it at in the file.
+        for write, magic, schema in ((write_features, FEATURE_MAGIC, FEATURE_SCHEMA),
+                                     (write_embeddings, EMBEDDING_MAGIC, EMBEDDING_SCHEMA),
+                                     (write_checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA)):
+            write(p)
+            arrays, _ = read_container(p, magic, schema)
+            for name, a in arrays.items():
+                assert a.flags.aligned and not a.flags.writeable, (write.__name__, name)
 
     def test_writer_refuses_other_dtypes_and_non_finite(self, tmp_path):
         p = tmp_path / "x.bin"

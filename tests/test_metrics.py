@@ -79,6 +79,10 @@ class TestAveragePrecision:
             average_precision([0.1, 0.2], [1, 0, 1])
         with pytest.raises(ValueError, match="binary"):
             average_precision([0.1, 0.2], [1, 2])
+        # a NaN would otherwise rank last, as if it were the lowest score
+        for bad, count in (([np.nan, 0.2, 0.9], 1), ([np.inf, 0.2, -np.inf], 2)):
+            with pytest.raises(ValueError, match=f"^{count} of 3 scores are not finite"):
+                average_precision(bad, [1, 0, 1])
 
 
 class TestMapReport:
