@@ -79,7 +79,10 @@ batch to a moderate loss first and divides each entry's difference by at
 least 1e-5 (grad_check(..., floor=1e-5)), so a near-zero gradient is judged
 on a difference the probes can resolve.  The probes still evaluate the bare
 loss, so the floor adds no truncation error and hides no backward defect of
-ordinary size.
+ordinary size.  Each tensor's probes rebuild the loss only from the first
+stage that reads it (projection, prompt net, attention sublayer or
+feed-forward sublayer), holding the earlier stages' outputs fixed; the
+result is that of one check over the whole forward.
 """)
 
 cfg = TrainConfig.from_dict({

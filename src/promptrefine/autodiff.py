@@ -519,6 +519,8 @@ def grad_check(f: Callable[[], Tensor],
     for name, value in (("eps", eps), ("floor", floor)):
         if not 0 < value < math.inf:
             raise ValueError(f"grad_check {name} must be a finite number > 0, got {value}")
+    if not _GRAD_ENABLED:
+        raise RuntimeError("grad_check: the backward needs gradients enabled, not no_grad()")
     items = list(params.items())
     for _, t in items:
         t.grad = None
@@ -557,4 +559,4 @@ def grad_check(f: Callable[[], Tensor],
                 if rel > worst:
                     worst = rel
                     worst_name = f"{name}[{i}]"
-    return GradCheckResult(max_rel_error=worst, worst_param=worst_name, n_entries=n_entries)
+    return GradCheckResult(max_rel_error=float(worst), worst_param=worst_name, n_entries=n_entries)

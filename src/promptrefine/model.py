@@ -55,6 +55,8 @@ __all__ = [
     "project_features",
     "init_prompts",
     "vsi_forward",
+    "attend",
+    "feed_forward",
     "classify",
     "forward_batch",
     "dual_path_grads",
@@ -191,7 +193,7 @@ def init_prompts(params: ModelParams) -> Tensor:
 
 
 def vsi_forward(F: Tensor, P: Tensor, params: ModelParams) -> Tensor:
-    """Visual-semantic interaction: refine the prompts against the tokens.
+    """Visual-semantic interaction, ``feed_forward(attend(F, P, params), params)``.
 
     ``F`` is (..., v, d) and ``P`` is (..., c, d) with the same leading
     axes; the result has the shape of ``P``.  On both paths the queries
@@ -204,19 +206,30 @@ def vsi_forward(F: Tensor, P: Tensor, params: ModelParams) -> Tensor:
     (``params.literal_equations``): single-head attention (scale
     1/sqrt(d)), then the feed-forward — nothing else.
     """
+    return feed_forward(attend(F, P, params), params)
+
+
+def attend(F: Tensor, P: Tensor, params: ModelParams) -> Tensor:
+    """``vsi_forward``'s attention sublayer (standard path: to the first norm)."""
     t = params.tensors
     literal = params.literal_equations
     z = ad.concat_rows(F, P)
     k, v = ad.linear(z, t["interaction.w_k"]), ad.linear(z, t["interaction.w_v"])
-    del F, z   # under no_grad nothing else holds them: scoring peaks lower
+    del z   # under no_grad nothing else holds it: scoring peaks lower
     x = ad.attention(ad.linear(P, t["interaction.w_q"]), k, v,
                      1 if literal else params.dims.heads)
     if not literal:   # output map, residual, norm
         x = ad.layer_norm_rows(ad.add(P, ad.linear(x, t["interaction.w_attn_out"])),
                                t["interaction.ln1_gain"], t["interaction.ln1_bias"])
+    return x
+
+
+def feed_forward(x: Tensor, params: ModelParams) -> Tensor:
+    """``vsi_forward``'s feed-forward sublayer (standard path: to the second norm)."""
+    t = params.tensors
     hidden = ad.gelu(ad.linear(x, t["interaction.w_ffn_in"], t["interaction.b_ffn_in"]))
     ffn = ad.linear(hidden, t["interaction.w_ffn_out"], t["interaction.b_ffn_out"])
-    if literal:
+    if params.literal_equations:
         return ffn
     return ad.layer_norm_rows(ad.add(x, ffn), t["interaction.ln2_gain"],
                               t["interaction.ln2_bias"])
@@ -250,7 +263,7 @@ def forward_batch(features, params: ModelParams) -> Tensor:
     """
     features = _check_batch(features, params.dims)
     P = ad.broadcast_batch(init_prompts(params), features.shape[0])
-    # the tokens go straight into vsi_forward, which drops them once used
+    # the tokens go straight into vsi_forward: nothing holds them once it returns
     return classify(vsi_forward(project_features(ad.constant(features), params), P, params), P)
 
 

@@ -50,9 +50,15 @@ from .metrics import GROUP_ORDER, MAP_KEYS, EvalReport, map_report
 from .model import (
     ModelDims,
     ModelParams,
+    attend,
+    classify,
+    feed_forward,
     forward_batch,
     init_model,
+    init_prompts,
     param_shapes,
+    project_features,
+    vsi_forward,
 )
 from .schema import (
     Field,
@@ -104,6 +110,9 @@ GRADCHECK_BATCH = 2
 GRADCHECK_SETTLE_STEPS = 400
 GRADCHECK_SETTLE_LOSS = 0.2
 GRADCHECK_FLOOR = 1e-5
+# The tensors that the feed-forward sublayer is the first to read; the
+# attention sublayer is the first to read every other interaction tensor.
+GRADCHECK_FEED_FORWARD = ("interaction.w_ffn", "interaction.b_ffn", "interaction.ln2")
 
 
 class CheckpointMismatchError(ValueError):
@@ -502,6 +511,10 @@ def run_gradcheck(cfg: TrainConfig, eps: float = 1e-5) -> ad.GradCheckResult:
       entry whose gradient cancels to near zero is judged on an absolute
       difference the probes can resolve, while a backward defect on any
       entry of ordinary size still shows in full.
+
+    Each tensor is probed from the first stage that reads it, earlier
+    stages held fixed.  Its gradient there must match the whole loss's
+    byte for byte, or RuntimeError: a stage not reading it would pass it.
     """
     dims = cfg.dims
     rng = np.random.default_rng(cfg.seed)
@@ -535,4 +548,26 @@ def run_gradcheck(cfg: TrainConfig, eps: float = 1e-5) -> ad.GradCheckResult:
         ad.backward(loss)
         adam.step()
 
-    return ad.grad_check(bare, learnable, eps=eps, floor=GRADCHECK_FLOOR)
+    adam.zero_grad()
+    ad.backward(bare())
+    full = {name: t.grad_or_zeros().tobytes() for name, t in learnable.items()}
+    with ad.no_grad():
+        F = project_features(ad.constant(features), params)
+        P = ad.broadcast_batch(init_prompts(params), GRADCHECK_BATCH)
+        x = attend(F, P, params)
+
+    def from_vsi(prompts: Tensor) -> Tensor:
+        return loss_fn(classify(vsi_forward(F, prompts, params), prompts), labels)
+
+    losses = {"projection": bare, "prompt_init": lambda: from_vsi(
+                  ad.broadcast_batch(init_prompts(params), GRADCHECK_BATCH)),
+              "interaction": lambda: from_vsi(P),   # from the attention sublayer on
+              "feed_forward": lambda: loss_fn(classify(feed_forward(x, params), P), labels)}
+    worst = (0.0, "")   # in learnable() order, and max keeps the first of ties
+    for name, t in learnable.items():
+        stage = "feed_forward" if name.startswith(GRADCHECK_FEED_FORWARD) else name.split(".")[0]
+        r = ad.grad_check(losses[stage], {name: t}, eps=eps, floor=GRADCHECK_FLOOR)
+        if t.grad_or_zeros().tobytes() != full[name]:
+            raise RuntimeError(f"gradcheck: {name}'s {stage} gradient is not the full loss's")
+        worst = max(worst, (r.max_rel_error, r.worst_param), key=lambda w: w[0])
+    return ad.GradCheckResult(*worst, n_entries)

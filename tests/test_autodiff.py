@@ -168,6 +168,7 @@ class TestBackward:
 
         result = ad.grad_check(f, {"w": w}, eps=1e-5)
         assert result.max_rel_error < 1e-9
+        assert type(result.max_rel_error) is float
 
     def test_matmul_gradients_match_finite_differences(self):
         """2-d, and a 2-d weight applied to every slice of a 3-d input (its
@@ -318,6 +319,20 @@ class TestBackward:
         with pytest.raises(ad.NonFiniteError, match="loss is not finite"):
             ad.grad_check(f, {"w": w})
         assert len(calls) == 1 and w.grad is None
+
+    def test_grad_check_refuses_to_run_under_no_grad(self):
+        # the loss would build no graph, so every analytic gradient would
+        # read zero and the first entry would report error 1
+        w = ad.parameter(np.ones(2))
+        calls = []
+
+        def f():
+            calls.append(1)
+            return ad.inner_sum([w], [np.ones(2)])
+
+        with ad.no_grad(), pytest.raises(RuntimeError, match="needs gradients enabled"):
+            ad.grad_check(f, {"w": w})
+        assert not calls
 
     def test_grad_check_rejects_zero_eps(self):
         # a floor of 0 or below is refused the same way

@@ -19,6 +19,7 @@ from promptrefine.data import (
     FileVersionError,
     GeneratorConfig,
     LongTailDataset,
+    embedding_provider,
     generate_synthetic_lt,
     read_container,
     save_embeddings,
@@ -26,7 +27,8 @@ from promptrefine.data import (
     split_groups,
     write_container,
 )
-from promptrefine.model import ModelDims, forward_batch
+from promptrefine.losses import get_loss
+from promptrefine.model import ModelDims, forward_batch, init_model
 from promptrefine.training import (
     Adam,
     Checkpoint,
@@ -1034,6 +1036,7 @@ class TestGradcheckEntry:
                           embedding={"mode": "random", "path": None, "m": 5, "seed": 1})
         report = run_gradcheck(cfg, eps=1e-5)
         assert isinstance(report, ad.GradCheckResult)
+        assert type(report.max_rel_error) is float
         assert report.max_rel_error < 1e-4, f"max rel error {report.max_rel_error:.2e}"
         assert report.n_entries > 0
 
@@ -1075,3 +1078,77 @@ class TestGradcheckEntry:
                           embedding={"mode": "random", "path": None, "m": 5, "seed": 1})
         report = run_gradcheck(cfg, eps=1e-5)
         assert report.max_rel_error > 1e-3
+
+    @staticmethod
+    def full_forward_check(cfg, eps=1e-5):
+        """The check as one ``grad_check`` over the whole forward, at the
+        point ``run_gradcheck`` settles to: the same model, batch, labels
+        and settle steps, built here without its stages."""
+        dims = cfg.dims
+        rng = np.random.default_rng(cfg.seed)
+        embedding = embedding_provider(**cfg.embedding, c=dims.c)
+        params = init_model(dims, embedding, seed=cfg.seed,
+                            literal_equations=cfg.literal_equations)
+        features = rng.standard_normal((GRADCHECK_BATCH, dims.v, dims.d0))
+        labels = (rng.uniform(size=(GRADCHECK_BATCH, dims.c)) < 0.4).astype(np.uint8)
+        for i in range(GRADCHECK_BATCH):
+            if labels[i].sum() == 0:
+                labels[i, int(rng.integers(dims.c))] = 1
+        loss_fn = get_loss(cfg.loss["name"], cfg.loss)
+
+        def bare():
+            return loss_fn(forward_batch(features, params), labels)
+
+        adam = Adam(params.learnable(), learning_rate=1e-2)
+        for _ in range(training.GRADCHECK_SETTLE_STEPS):
+            adam.zero_grad()
+            loss = bare()
+            if float(loss.data) < training.GRADCHECK_SETTLE_LOSS:
+                break
+            ad.backward(loss)
+            adam.step()
+        return ad.grad_check(bare, params.learnable(), eps=eps, floor=training.GRADCHECK_FLOOR)
+
+    @pytest.mark.parametrize("literal", [False, True])
+    @pytest.mark.parametrize("loss", ["asl", "bce", "focal"])
+    def test_staged_probes_equal_one_check_over_the_whole_forward(self, loss, literal):
+        cfg = tiny_config(dims=ModelDims(d0=4, d=8, v=3, c=4, heads=2, ffn=8),
+                          loss={"name": loss}, literal_equations=literal,
+                          embedding={"mode": "random", "path": None, "m": 5, "seed": 1})
+        report = run_gradcheck(cfg, eps=1e-5)
+        oracle = self.full_forward_check(cfg, eps=1e-5)
+        assert report.max_rel_error == oracle.max_rel_error
+        assert (report.worst_param, report.n_entries) == (oracle.worst_param, oracle.n_entries)
+
+    def test_held_stages_do_not_hide_a_bug_upstream_of_them(self, monkeypatch):
+        # concat_rows scales the gradient reaching the tokens F by 1.001.  F is
+        # held fixed for every tensor after the projection, so only the
+        # projection's probes, which run the whole forward, can see it.  The
+        # projection is linear in F's gradient, so its entries read the
+        # defect in full: 0.001 / 1.001, ten times the CLI's tolerance.
+        true_concat = ad.concat_rows
+
+        def buggy_concat(a, b):
+            out = true_concat(a, b)
+            real_bw, n = out._backward, a.shape[-2]
+            if real_bw is not None:
+                out._backward = lambda g: real_bw(
+                    np.concatenate([g[..., :n, :] * 1.001, g[..., n:, :]], axis=-2))
+            return out
+
+        monkeypatch.setattr(ad, "concat_rows", buggy_concat)
+        cfg = tiny_config(dims=ModelDims(d0=4, d=8, v=3, c=4, heads=2, ffn=8),
+                          embedding={"mode": "random", "path": None, "m": 5, "seed": 1})
+        report = run_gradcheck(cfg, eps=1e-5)
+        assert report.max_rel_error == pytest.approx(0.001 / 1.001, rel=1e-3)
+        assert report.worst_param.startswith("projection.")
+
+    def test_a_tensor_probed_from_a_stage_that_does_not_read_it_is_refused(self, monkeypatch):
+        # w_q probed from the feed-forward sublayer would read zero on both
+        # sides and pass unchecked
+        monkeypatch.setattr(training, "GRADCHECK_FEED_FORWARD",
+                            training.GRADCHECK_FEED_FORWARD + ("interaction.w_q",))
+        cfg = tiny_config(dims=ModelDims(d0=4, d=8, v=3, c=4, heads=2, ffn=8),
+                          embedding={"mode": "random", "path": None, "m": 5, "seed": 1})
+        with pytest.raises(RuntimeError, match=r"interaction\.w_q's feed_forward gradient"):
+            run_gradcheck(cfg, eps=1e-5)
